@@ -48,7 +48,7 @@ int main() {
         {
           net::HttpRequest req;
           auto readFn = [&](void* out, size_t n) { return sock.read(out, n); };
-          if (net::read_request(readFn, req)) {
+          if (net::read_request_status(readFn, req) == net::ReadStatus::kOk) {
             const std::string sid =
                 req.headers.count("Cookie") ? req.headers["Cookie"] : "anon";
             auto* cellRaw = sessions.get().get_or_put(sid, [] {
@@ -95,7 +95,7 @@ int main() {
         {
           net::HttpResponse resp;
           auto readFn = [&](void* out, size_t n) { return sock.read(out, n); };
-          got = net::read_response(readFn, resp);
+          got = net::read_response_status(readFn, resp) == net::ReadStatus::kOk;
           if (got && r == kRequestsEach - 1)
             std::printf("client %d last response: %s\n", c, resp.body.c_str());
         }

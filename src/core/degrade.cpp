@@ -35,15 +35,29 @@ uint64_t retry_budget() { return gRetryBudget.load(std::memory_order_relaxed); }
 
 uint64_t escalations() { return gEscalations.load(std::memory_order_relaxed); }
 
-bool serialized(const ThreadContext& tc) { return tc.holdsSerialToken; }
+bool serialized(const ThreadContext& tc) { return tc.serialToken == SerialToken::kHeld; }
+
+bool take_token_for_inevitability(ThreadContext& tc) {
+  if (serialized(tc)) return true;
+  std::lock_guard<std::mutex> lk(gTokenMu);
+  if (gTokenHeld) {
+    tc.serialToken = SerialToken::kWanted;
+    return false;
+  }
+  gTokenHeld = true;
+  tc.serialToken = SerialToken::kHeld;
+  return true;
+}
 
 void on_abort(ThreadContext& tc) {
   const uint64_t aborts =
       tc.consecutiveAborts.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (serialized(tc)) return;  // the holder keeps the token across aborts
+  const bool wanted = tc.serialToken == SerialToken::kWanted;
   const uint64_t budget = gRetryBudget.load(std::memory_order_relaxed);
-  if (budget == 0 || tc.holdsSerialToken || aborts < budget) return;
+  if (!wanted && (budget == 0 || aborts < budget)) return;
   {
-    // The wait can be long (another escalated section is running); let
+    // The wait can be long (another serialized section is running); let
     // the GC scan us meanwhile. We hold no SBD locks here (pre: caller
     // already ran LockEngine::release_all).
     Safepoint::SafeScope safe(tc);
@@ -51,7 +65,8 @@ void on_abort(ThreadContext& tc) {
     gTokenCv.wait(lk, [] { return !gTokenHeld; });
     gTokenHeld = true;
   }
-  tc.holdsSerialToken = true;
+  tc.serialToken = SerialToken::kHeld;
+  if (wanted) return;
   tc.stats.escalations++;
   gEscalations.fetch_add(1, std::memory_order_relaxed);
   obs::record(obs::EventKind::kEscalated, tc.txn.id(), -1, nullptr, nullptr,
@@ -60,8 +75,11 @@ void on_abort(ThreadContext& tc) {
 
 void on_commit(ThreadContext& tc) {
   tc.consecutiveAborts.store(0, std::memory_order_relaxed);
-  if (!tc.holdsSerialToken) return;
-  tc.holdsSerialToken = false;
+  if (!serialized(tc)) return;
+  tc.serialToken = SerialToken::kNone;
+  // Cleared before the token is free, so at most one section is ever
+  // flagged inevitable.
+  tc.txn.set_inevitable(false);
   {
     std::lock_guard<std::mutex> lk(gTokenMu);
     gTokenHeld = false;

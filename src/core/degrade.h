@@ -1,22 +1,28 @@
-// Graceful degradation (robustness layer): a section that keeps
-// aborting is thrashing — each retry redoes the same work and loses the
-// same conflict. After a bounded retry budget the runtime escalates the
-// section to *serialized* execution: the thread takes a global
-// serialization token before re-executing and keeps it (across further
-// aborts) until the section finally commits. Escalated retries
-// therefore never run concurrently with each other, which drains abort
-// storms instead of letting them feed on themselves.
+// The serialization token and graceful degradation (robustness layer).
 //
-// Deadlock-freedom: the token is acquired only in the abort path, after
-// LockEngine::release_all — a thread blocked on the token holds no SBD
-// locks, so the token can never appear in a lock-wait cycle. The token
-// holder may still block on (and be aborted by) ordinary locks; it
-// keeps the token across those aborts and releases it at commit.
+// One process-wide token serializes sections for two reasons:
+//   - escalation: a section that keeps aborting is thrashing — each
+//     retry redoes the same work and loses the same conflict. After a
+//     bounded retry budget the section re-executes under the token, so
+//     escalated retries never run concurrently with each other, which
+//     drains abort storms instead of letting them feed on themselves;
+//   - inevitability: become_inevitable() (core/inevitable.h) needs the
+//     token, because at most one section may be unabortable (§3.4).
+// A holder keeps the token across its own aborts (a setcontext stack
+// restore) and gives it back when the section commits. An escalated
+// section that calls become_inevitable() already holds it.
 //
-// This is deliberately NOT the inevitable-section mechanism
-// (core/inevitable.h): an inevitable section must never abort, but an
-// escalated section still can (e.g. losing a dueling upgrade), so it
-// must stay an ordinary, abortable transaction.
+// Deadlock-freedom: the token is only ever *waited for* in
+// abort_and_restart, after LockEngine::release_all. Waiters hold no
+// locks; holders may block on locks but are never waited on by a lock
+// holder. So the token can never close a lock-wait cycle, and Dreadlocks
+// resolves every cycle among lock waiters by aborting one that is not
+// inevitable. become_inevitable() therefore only try-acquires: when the
+// token is busy it marks the thread as wanting it and aborts, and the
+// abort path waits for it holding nothing.
+//
+// An escalated section is still an ordinary, abortable transaction (it
+// can lose a dueling upgrade); only an inevitable one can never abort.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +34,7 @@ struct ThreadContext;
 namespace degrade {
 
 // Consecutive aborts of one logical section before escalation.
-// 0 disables escalation entirely. Default: 64.
+// 0 disables escalation entirely (not inevitability). Default: 64.
 void set_retry_budget(uint64_t aborts);
 uint64_t retry_budget();
 
@@ -39,8 +45,15 @@ uint64_t escalations();
 // True while the calling thread's section runs under the token.
 bool serialized(const ThreadContext& tc);
 
+// Called by become_inevitable(): returns true with the token held if it
+// was free or already this thread's. Otherwise marks the thread as
+// wanting the token and returns false; the caller must then abort, and
+// on_abort waits for the token.
+bool take_token_for_inevitability(ThreadContext& tc);
+
 // Called by abort_and_restart after locks are released: bumps the
-// consecutive-abort count and, over budget, blocks for the token.
+// consecutive-abort count and blocks for the token if the thread wants
+// it or, over budget, escalates.
 void on_abort(ThreadContext& tc);
 
 // Called by commit_section: resets the abort count and releases the

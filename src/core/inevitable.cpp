@@ -1,84 +1,37 @@
 #include "core/inevitable.h"
 
 #include <atomic>
-#include <condition_variable>
-#include <mutex>
 
 #include "common/check.h"
+#include "core/degrade.h"
 #include "core/transaction.h"
 
 namespace sbd::core {
 
 namespace {
-
-std::mutex gTokenMu;
-std::condition_variable gTokenCv;
-ThreadContext* gHolder = nullptr;
 std::atomic<uint64_t> gAcquisitions{0};
-
-// Releases the token when the inevitable section ends.
-class InevitabilityToken final : public TxResource {
- public:
-  void on_commit() override { release(); }
-  void on_abort() override {
-    // Past the point of no return (set_inevitable) an abort is fatal:
-    // the section's effects may already be externally visible. Before
-    // it — the versioned read-set promotion between taking the token
-    // and setting the flag can still abort on a stale snapshot — the
-    // abort is ordinary and must hand the token back (the checkpoint
-    // restore does not unwind the stack, so this resource hook is the
-    // only cleanup that runs).
-    SBD_CHECK_MSG(!tls_context().txn.inevitable(),
-                  "abort of an inevitable section");
-    release();
-  }
-
-  static InevitabilityToken& instance() {
-    static InevitabilityToken tok;
-    return tok;
-  }
-
- private:
-  static void release() {
-    {
-      std::lock_guard<std::mutex> lk(gTokenMu);
-      gHolder = nullptr;
-    }
-    gTokenCv.notify_all();
-  }
-};
-
 }  // namespace
 
 void become_inevitable() {
   auto& tc = tls_context();
   SBD_CHECK_MSG(tc.txn.active(), "become_inevitable outside an atomic section");
-  {
-    std::lock_guard<std::mutex> lk(gTokenMu);
-    if (gHolder == &tc) return;  // already inevitable
-  }
-  {
-    Safepoint::SafeScope safe(tc);
-    std::unique_lock<std::mutex> lk(gTokenMu);
-    gTokenCv.wait(lk, [] { return gHolder == nullptr; });
-    gHolder = &tc;
-  }
-  gAcquisitions.fetch_add(1, std::memory_order_relaxed);
-  // Register the release hook BEFORE anything below can abort, then pin
-  // down the invisible reads: an inevitable section can never abort,
+  if (tc.txn.inevitable()) return;
+  // This section may hold locks, so it must not wait for the token: a
+  // busy token aborts it instead, and the retry arrives here holding it.
+  if (!degrade::take_token_for_inevitability(tc)) abort_and_restart(tc);
+  // Pin down the invisible reads: an inevitable section can never abort,
   // and versioned reads settle conflicts by aborting the reader — so
   // every versioned read-set entry is locked exclusively and the
-  // snapshot validated NOW, while this transaction is still revocable.
-  tc.txn.add_resource(&InevitabilityToken::instance());
+  // snapshot validated NOW, while this transaction is still revocable
+  // (an abort here keeps the token for the retry).
   LockEngine::versioned_promote_for_inevitable(tc);
   tc.txn.set_inevitable(true);
+  gAcquisitions.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool is_inevitable() {
   auto* tc = tls_context_if_present();
-  if (!tc) return false;
-  std::lock_guard<std::mutex> lk(gTokenMu);
-  return gHolder == tc;
+  return tc != nullptr && tc->txn.inevitable();
 }
 
 uint64_t inevitable_acquisitions() {

@@ -10,27 +10,29 @@
 // argument by measuring wrapper-based I/O against inevitable I/O.
 //
 // Semantics:
-//   - become_inevitable() blocks until the calling section holds THE
-//     global inevitability token (single-owner).
+//   - become_inevitable() takes THE serialization token
+//     (core/degrade.h), which escalated sections share, so at most one
+//     section is inevitable or escalated at a time.
 //   - while inevitable, the section cannot be chosen as a deadlock
 //     victim and abort_and_restart() on it is a programming error;
 //     external effects may be performed directly.
-//   - the token releases automatically at the section's end (commit or
-//     split), via a TxResource hook.
+//   - the token releases automatically when the section commits (at a
+//     split or the section's end).
 #pragma once
 
 #include "core/fwd.h"
 
 namespace sbd::core {
 
-// Makes the current atomic section inevitable. Blocks (releasing no
-// locks) until the global token is free. Idempotent within a section.
+// Makes the current atomic section inevitable. If the token is busy the
+// section aborts, waits for the token holding no locks, and re-executes
+// from its start. Idempotent within a section.
 void become_inevitable();
 
 // True while the calling thread's active section is inevitable.
 bool is_inevitable();
 
-// Number of token acquisitions so far (tests/benches).
+// Number of sections made inevitable so far (tests/benches).
 uint64_t inevitable_acquisitions();
 
 }  // namespace sbd::core

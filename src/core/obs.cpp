@@ -597,26 +597,16 @@ void register_metrics_section(const char* name, std::string (*provider)()) {
 
 std::string metrics_json() {
   const core::StatsCounters c = core::TxnManager::instance().snapshot_stats();
-  // Field-completeness: the static_assert in core/stats.h points here —
-  // every StatsCounters field must be listed below.
   const core::GlobalGauges& g = core::gauges();
   const runtime::LockPool::Stats lp = runtime::LockPool::instance().stats();
   std::ostringstream os;
   os << "{\n  \"counters\": {";
-  os << "\"lockInit\": " << c.lockInit << ", \"checkNew\": " << c.checkNew
-     << ", \"checkOwned\": " << c.checkOwned << ", \"acqRls\": " << c.acqRls
-     << ", \"commits\": " << c.commits << ", \"aborts\": " << c.aborts
-     << ", \"contendedAcquires\": " << c.contendedAcquires
-     << ", \"casFailures\": " << c.casFailures
-     << ", \"deadlocksResolved\": " << c.deadlocksResolved
-     << ", \"escalations\": " << c.escalations
-     << ", \"versionedReads\": " << c.versionedReads
-     << ", \"validations\": " << c.validations
-     << ", \"versionAborts\": " << c.versionAborts
-     << ", \"rwSetBytesSum\": " << c.rwSetBytesSum
-     << ", \"bufferBytesSum\": " << c.bufferBytesSum
-     << ", \"initLogBytesSum\": " << c.initLogBytesSum
-     << ", \"txnFootprints\": " << c.txnFootprints;
+  const char* sep = "";
+#define SBD_STATS_JSON(name)                  \
+  os << sep << "\"" #name "\": " << c.name; \
+  sep = ", ";
+  SBD_STATS_COUNTERS(SBD_STATS_JSON)
+#undef SBD_STATS_JSON
   os << "},\n  \"gauges\": {";
   os << "\"lockStructBytes\": " << g.lockStructBytes.load(std::memory_order_relaxed)
      << ", \"versionWordBytes\": " << g.versionWordBytes.load(std::memory_order_relaxed)

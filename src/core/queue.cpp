@@ -1,5 +1,6 @@
 #include "core/queue.h"
 
+#include <bit>
 #include <chrono>
 #include <thread>
 
@@ -305,6 +306,69 @@ void ParkingLot::unpark_word(ThreadContext& tc, const LockWord* word) {
   std::lock_guard<std::mutex> lk(b.mu);
   maybe_delay(fault::Site::kQueueWakeup);
   grant_pass_locked(b, word, tc);
+}
+
+uint64_t ParkingLot::blockers_locked(Bucket& b, const LockWord* word, int txnId) {
+  uint64_t ahead = 0;
+  for (WaitNode* m = b.head; m; m = m->next) {
+    if (m->word != word || m->idPool) continue;
+    if (m->txnId == txnId)
+      return (members(as_atomic(word)->load(std::memory_order_acquire)) & ~m->mask) | ahead;
+    if (m->txnId >= 0) ahead |= 1ULL << m->txnId;
+  }
+  return 0;
+}
+
+uint64_t ParkingLot::wait_cycle(const LockWord* word, int txnId) {
+  auto& mgr = TxnManager::instance();
+  const uint64_t self = txn_mask(txnId);
+  // Walks out from txnId's own blockers; `blockers(w, d)` yields d's
+  // out-edges for its wait on w. Returns the first path back to txnId.
+  auto walk = [&](auto&& blockers) -> uint64_t {
+    int parent[kMaxTxns];
+    uint64_t frontier = blockers(word, txnId);
+    uint64_t seen = frontier;
+    for (uint64_t m = frontier; m; m &= m - 1) parent[std::countr_zero(m)] = txnId;
+    while (frontier) {
+      const int d = std::countr_zero(frontier);
+      frontier &= frontier - 1;
+      const LockWord* w = mgr.wait_word_slot(d).load(std::memory_order_acquire);
+      if (!w) continue;
+      uint64_t out = blockers(w, d);
+      if (out & self) {
+        uint64_t path = 0;
+        for (int x = d; x != txnId; x = parent[x]) path |= txn_mask(x);
+        return path;
+      }
+      out &= ~seen;
+      for (uint64_t m = out; m; m &= m - 1) parent[std::countr_zero(m)] = d;
+      seen |= out;
+      frontier |= out;
+    }
+    return 0;
+  };
+  static_assert(kBuckets == 64, "the bucket set below is a 64-bit mask");
+  auto index = [&](const LockWord* w) { return &bucket_for(w) - buckets_; };
+  // Pass 1, one bucket at a time: find the buckets the walk touches.
+  uint64_t touched = 0;
+  const uint64_t suspected = walk([&](const LockWord* w, int d) {
+    Bucket& b = bucket_for(w);
+    touched |= 1ULL << index(w);
+    std::lock_guard<std::mutex> lk(b.mu);
+    return blockers_locked(b, w, d);
+  });
+  if (!suspected) return 0;
+  // Pass 2: hold all of them at once (in index order, the one
+  // multi-bucket lock order) and walk again. A waiter whose bucket is
+  // not held contributes no edges, so every waiter on a path found here
+  // is frozen in its wait.
+  for (uint64_t m = touched; m; m &= m - 1) buckets_[std::countr_zero(m)].mu.lock();
+  const uint64_t cycle = walk([&](const LockWord* w, int d) -> uint64_t {
+    if (!(touched & (1ULL << index(w)))) return 0;
+    return blockers_locked(bucket_for(w), w, d);
+  });
+  for (uint64_t m = touched; m; m &= m - 1) buckets_[std::countr_zero(m)].mu.unlock();
+  return cycle;
 }
 
 void ParkingLot::unpark_txn(const LockWord* word, int txnId) {

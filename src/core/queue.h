@@ -136,6 +136,19 @@ class ParkingLot {
   // dereferenced — safe even if the victim already left.
   void unpark_txn(const LockWord* word, int txnId);
 
+  // Confirms a deadlock the Dreadlocks digests suggest: returns the
+  // other members of a wait-for cycle from txnId's wait on `word` back to
+  // txnId, or 0 if there is none. A parked waiter republishes its digest
+  // only on its own probe ticks, so digests go stale as words change
+  // hands: they can close cycles that no longer exist and name waiters
+  // that are not on the cycle. This judges the live graph instead, with
+  // every bucket it touches locked at once: a waiter whose bucket is held
+  // cannot leave its wait (being granted, self-granting and cancelling
+  // all take that lock), so it keeps its locks and its queue place, and
+  // a cycle found there exists. A real deadlock, whose members stay
+  // blocked, is always found. Call with no bucket lock held.
+  uint64_t wait_cycle(const LockWord* word, int txnId);
+
   // --- id-pool waiters (core/ids.cpp) ---------------------------------------
 
   // Unlinks an id-pool node (no grant pass, no word bit — the sentinel
@@ -215,6 +228,10 @@ class ParkingLot {
   Bucket& bucket_for(const LockWord* w);
   void link_locked(Bucket& b, WaitNode& n);
   void unlink_locked(Bucket& b, WaitNode& n);
+  // txnId's blockers on `word` (the set try_grant_self reports), or 0 if
+  // it is not queued there. `word` is dereferenced only once the node is
+  // found, i.e. while the node pins the instance. Pre: b.mu held.
+  uint64_t blockers_locked(Bucket& b, const LockWord* word, int txnId);
   // Hands the grantable prefix of `word` its locks. Pre: b.mu held.
   void grant_pass_locked(Bucket& b, const LockWord* word, ThreadContext& tc);
   static void wake(WaitNode& n);

@@ -9,7 +9,6 @@
 #include "common/timing.h"
 #include "core/degrade.h"
 #include "core/fault.h"
-#include "core/inject.h"
 #include "core/obs.h"
 #include "runtime/object.h"
 
@@ -295,8 +294,8 @@ void commit_section(ThreadContext& tc) {
   for (auto& action : deferred) action();
   tc.stats.commits++;
   tc.retrySleepNanos = 0;
-  // 5. Graceful degradation: the section made it through — reset the
-  //    retry budget and give up the serialization token if escalated.
+  // 5. The section made it through: reset the retry budget and give up
+  //    the serialization token if held (escalated or inevitable).
   degrade::on_commit(tc);
   if (traceStart != 0)
     obs::record(obs::EventKind::kCommit, tc.txn.id(), -1, nullptr, nullptr,
@@ -304,8 +303,9 @@ void commit_section(ThreadContext& tc) {
 }
 
 void split_section(ThreadContext& tc) {
-  // Failure injection (core/inject.h): abort instead of committing.
-  if (!tc.txn.inevitable() && should_inject_abort()) abort_and_restart(tc);
+  // Failure injection (core/fault.h): abort instead of committing.
+  if (!tc.txn.inevitable() && fault::should_fire(fault::Site::kSplitAbort))
+    abort_and_restart(tc);
   const uint64_t traceStart = obs::sample_duration() ? now_nanos() : 0;
   commit_section(tc);
   Safepoint::poll(tc);
@@ -344,6 +344,9 @@ void end_final_section(ThreadContext& tc) {
 
 void abort_and_restart(ThreadContext& tc) {
   SBD_CHECK(tc.txn.active());
+  // Past the point of no return (set_inevitable) an abort is fatal: the
+  // section's effects may already be externally visible.
+  SBD_CHECK_MSG(!tc.txn.inevitable(), "abort of an inevitable section");
   account_section_end(tc, /*committed=*/false);  // sample before buffers drop
   // 1. Discard deferred external effects and rearm replay buffers.
   for (auto it = tc.txn.resources_.rbegin(); it != tc.txn.resources_.rend(); ++it)
@@ -363,12 +366,13 @@ void abort_and_restart(ThreadContext& tc) {
   tc.stats.aborts++;
   obs::record(obs::EventKind::kAborted, tc.txn.id(), -1, nullptr, nullptr,
               obs::kNoIndex, false, 0, tc.txn.start_seq());
-  // 4. Graceful degradation: over the retry budget this blocks for the
-  //    global serialization token (we hold no locks here) so the retry
-  //    runs serialized instead of feeding the abort storm.
+  // 4. The serialization token: this is the only place it is waited
+  //    for, because we hold no locks here. A thread that wants it (a
+  //    busy become_inevitable) or is over the retry budget blocks for
+  //    it, so the retry runs serialized.
   degrade::on_abort(tc);
-  if (tc.holdsSerialToken) {
-    // Serialized retry: the token holder cannot race other escalated
+  if (degrade::serialized(tc)) {
+    // Serialized retry: the token holder cannot race other serialized
     // sections, so it skips the backoff and restarts immediately.
     // restore() rebuilds the stack and never returns — steps 5 and 6
     // below are unreachable on this path.
@@ -396,8 +400,8 @@ void abort_and_restart(ThreadContext& tc) {
 namespace {
 
 // Computes and publishes this transaction's Dreadlocks digest while it
-// waits for `word`; resolves any detected cycle by aborting the
-// youngest waiting member. `direct` is the blocker set gathered by the
+// waits for `word`; resolves any confirmed cycle by aborting its
+// youngest member. `direct` is the blocker set gathered by the
 // grant probe (word members + same-word waiters ahead of us) inside the
 // bucket critical section; this runs OUTSIDE any bucket lock, so the
 // resolver's wake of the victim (unpark_txn takes the victim's bucket
@@ -417,6 +421,10 @@ bool update_digest_and_resolve(ThreadContext& tc, uint64_t direct,
   }
   mgr.digest_slot(myId).store(digest, std::memory_order_release);
   if ((digest & myBit) == 0) return false;  // no cycle through us
+  // Digests only suggest a cycle; the victim must come from a confirmed
+  // one, or a stale digest would sacrifice a waiter off the cycle.
+  const uint64_t cycle = ParkingLot::instance().wait_cycle(word, myId);
+  if (cycle == 0) return false;
 
   // Cycle: abort the youngest *waiting* member (deterministic policy —
   // the oldest transaction always makes progress, §3.2).
@@ -427,7 +435,7 @@ bool update_digest_and_resolve(ThreadContext& tc, uint64_t direct,
     victim = myId;
     victimSeq = tc.txn.start_seq();
   }
-  uint64_t cand = digest & ~myBit;
+  uint64_t cand = cycle;
   while (cand) {
     const int d = std::countr_zero(cand);
     cand &= cand - 1;
@@ -441,7 +449,7 @@ bool update_digest_and_resolve(ThreadContext& tc, uint64_t direct,
   }
   if (victim < 0) return false;  // all waiters inevitable (transient view)
   // Recorded AFTER victim selection, so the event carries the chosen
-  // victim and the contended lock (the DebugEvent::other contract) —
+  // victim and the contended lock (the obs::Event::other contract) —
   // the §6 workflow needs to know who lost, not just that a cycle
   // happened. obj is stable here: our parked node pins it as a GC root
   // while we are enqueued. The victim's epoch (start_seq) rides in
@@ -547,6 +555,7 @@ void slow_acquire(ThreadContext& tc, runtime::ManagedObject* obj, LockWord* word
   lot.publish(node);
   tc.waitingObj = obj;
   tc.txn.set_waiting(word);
+  mgr.wait_word_slot(myId).store(word, std::memory_order_release);
   {
     LockWord w = aw->load(std::memory_order_acquire);
     while (!has_waiters(w)) {
@@ -559,6 +568,7 @@ void slow_acquire(ThreadContext& tc, runtime::ManagedObject* obj, LockWord* word
     // Clear the published digest: a stale digest would make other
     // transactions that later wait on us see phantom cycles.
     mgr.digest_slot(myId).store(0, std::memory_order_release);
+    mgr.wait_word_slot(myId).store(nullptr, std::memory_order_release);
     tc.txn.set_waiting(nullptr);
     tc.waitingObj = nullptr;
   };

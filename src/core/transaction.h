@@ -180,6 +180,13 @@ enum class ThreadState : int {
   kParked = 2,  // parked at a safepoint poll
 };
 
+// A thread's relation to the serialization token (core/degrade.h).
+enum class SerialToken : uint8_t {
+  kNone,
+  kWanted,  // become_inevitable found it busy; the abort path waits for it
+  kHeld,    // escalated or inevitable; released when the section commits
+};
+
 // Everything the runtime keeps per OS thread participating in SBD.
 struct ThreadContext {
   ThreadContext();
@@ -229,9 +236,8 @@ struct ThreadContext {
   // consecutiveAborts: aborts of the current logical section without an
   // intervening commit; read by the watchdog, so atomic (relaxed).
   std::atomic<uint64_t> consecutiveAborts{0};
-  // True while this thread holds the global serialization token after
-  // retry-budget escalation; owner-thread-only, released at commit.
-  bool holdsSerialToken = false;
+  // This thread's hold on the serialization token; owner-thread-only.
+  SerialToken serialToken = SerialToken::kNone;
   // now_nanos() when this thread started blocking for a transaction id,
   // 0 otherwise (watchdog visibility into §3.3 pool starvation).
   std::atomic<uint64_t> idWaitSinceNanos{0};
@@ -265,6 +271,10 @@ class TxnManager {
   Transaction* lookup(int id) { return byId_[id].load(std::memory_order_acquire); }
 
   std::atomic<uint64_t>& digest_slot(int id) { return digests_[id]; }
+  // The word the holder of `id` is parked on, or nullptr. Kept here
+  // rather than read through lookup(id), which another thread may free
+  // on exit, because ParkingLot::wait_cycle walks foreign waiters.
+  std::atomic<const LockWord*>& wait_word_slot(int id) { return waitWords_[id]; }
 
   // Asks the transaction currently holding `victimId` to abort, if it is
   // still the one with `expectedSeq` (guards against id reuse).
@@ -305,6 +315,7 @@ class TxnManager {
   std::atomic<uint64_t> seq_{1};
   std::atomic<Transaction*> byId_[kMaxTxns] = {};
   std::atomic<uint64_t> digests_[kMaxTxns] = {};
+  std::atomic<const LockWord*> waitWords_[kMaxTxns] = {};
 
   std::mutex registryMu_;
   std::vector<ThreadContext*> threads_;

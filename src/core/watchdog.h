@@ -2,9 +2,9 @@
 // periodically scans every registered SBD thread and flags transactions
 // that have been blocked — in a lock wait queue or on the §3.3
 // transaction-id pool — beyond a threshold. A detected stall is
-//   1. recorded in the §6 debug log (DebugEventKind::kWatchdogStall /
+//   1. recorded in the §6 debug log (obs::EventKind::kWatchdogStall /
 //      kIdPoolStall), so the per-lock contention summary
-//      (DebugLog::summarize) shows where the system seized up, and
+//      (obs::summarize) shows where the system seized up, and
 //   2. optionally broken by the abort-victim fallback: after a second,
 //      larger timeout the watchdog asks the stalled transaction to
 //      abort (TxnManager::request_abort — the same safe path the

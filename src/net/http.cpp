@@ -112,15 +112,6 @@ ReadStatus read_response_status(const std::function<size_t(void*, size_t)>& read
   return read_body(readFn, out.headers, maxBody, out.body);
 }
 
-bool read_request(const std::function<size_t(void*, size_t)>& readFn, HttpRequest& out) {
-  return read_request_status(readFn, out) == ReadStatus::kOk;
-}
-
-bool read_response(const std::function<size_t(void*, size_t)>& readFn,
-                   HttpResponse& out) {
-  return read_response_status(readFn, out) == ReadStatus::kOk;
-}
-
 const char* reason_phrase(int status) {
   switch (status) {
     case 200: return "OK";

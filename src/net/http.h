@@ -70,12 +70,6 @@ ReadStatus read_request_status(const std::function<size_t(void*, size_t)>& readF
 ReadStatus read_response_status(const std::function<size_t(void*, size_t)>& readFn,
                                 HttpResponse& out, size_t maxBody = kMaxBodyBytes);
 
-// Legacy bool forms (kOk => true). Callers that only distinguish
-// "got one" from "stop reading this connection" keep using these.
-bool read_request(const std::function<size_t(void*, size_t)>& readFn, HttpRequest& out);
-bool read_response(const std::function<size_t(void*, size_t)>& readFn,
-                   HttpResponse& out);
-
 // Standard reason phrase for a status code ("Not Found", ...); a
 // best-effort class default ("Error") for codes not in the table.
 const char* reason_phrase(int status);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/fault.h"
-#include "core/inject.h"
 
 namespace sbd::fault {
 namespace {
@@ -105,23 +104,21 @@ TEST(FaultPlan, PlanScopeRestoresCounters) {
   clear_plan();
 }
 
-TEST(FaultPlan, LegacyAbortScopeRestoresEnclosingInjection) {
-  // The bug the registry replaces: the old AbortInjectionScope
+TEST(FaultPlan, SplitAbortScopeRestoresEnclosingInjection) {
+  // The bug the registry replaces: the old abort-injection scope's
   // destructor force-disabled injection instead of restoring the
   // enclosing configuration.
-  core::set_abort_injection(0.5, 7);
-  std::vector<bool> whole;
-  for (int i = 0; i < 20; i++) whole.push_back(core::should_inject_abort());
-  core::set_abort_injection(0.5, 7);
-  std::vector<bool> spliced;
-  for (int i = 0; i < 10; i++) spliced.push_back(core::should_inject_abort());
+  set_plan(single_site(Site::kSplitAbort, 0.5, 7));
+  const std::vector<bool> whole = draw(Site::kSplitAbort, 20);
+  set_plan(single_site(Site::kSplitAbort, 0.5, 7));
+  std::vector<bool> spliced = draw(Site::kSplitAbort, 10);
   {
-    core::AbortInjectionScope scope(0.9, 1234);
-    for (int i = 0; i < 7; i++) core::should_inject_abort();
+    PlanScope scope(single_site(Site::kSplitAbort, 0.9, 1234));
+    draw(Site::kSplitAbort, 7);
   }
-  for (int i = 0; i < 10; i++) spliced.push_back(core::should_inject_abort());
+  for (bool b : draw(Site::kSplitAbort, 10)) spliced.push_back(b);
   EXPECT_EQ(spliced, whole);
-  core::set_abort_injection(0);
+  clear_plan();
 }
 
 }  // namespace

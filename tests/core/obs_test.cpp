@@ -267,8 +267,8 @@ TEST(ObsHot, ContentionTableRanksAndSurvivesDrain) {
 }
 
 TEST(ObsMetrics, StatsCountersAddAndDiffCoverEveryField) {
-  // The static_assert in core/stats.h pins the field count; this pins
-  // the behavior: add() and diff() must touch all 14 fields.
+  // add() and diff() are generated from the SBD_STATS_COUNTERS list;
+  // this pins that every field of the struct is on that list.
   constexpr size_t kFields = sizeof(core::StatsCounters) / sizeof(uint64_t);
   core::StatsCounters a{};
   auto* pa = reinterpret_cast<uint64_t*>(&a);

@@ -150,8 +150,10 @@ TEST_P(AbortStorm, RetriesPreserveLinkedStructure) {
 INSTANTIATE_TEST_SUITE_P(AbortRates, AbortStorm, ::testing::Values(2, 3, 7));
 
 // The visible-reader ordering semantics (§3.2): accessing locations in
-// a fixed global order across all threads never deadlocks, so no
-// aborts occur even under maximal contention.
+// a fixed global order across all threads never deadlocks. The order
+// must cover lock modes too: each cell's first touch takes its final
+// (write) mode, because a read followed by a write upgrades, and two
+// readers upgrading the same cell form a real cycle.
 TEST(StmOrdering, OrderedAccessesNeverDeadlock) {
   runtime::GlobalRoot<runtime::I64Array> cells;
   run_sbd([&] { cells.set(runtime::I64Array::make(4)); });
@@ -160,10 +162,14 @@ TEST(StmOrdering, OrderedAccessesNeverDeadlock) {
     std::vector<SbdThread> ts;
     for (int t = 0; t < 4; t++) {
       ts.emplace_back([&] {
+        auto& tc = core::tls_context();
         for (int i = 0; i < 200; i++) {
           auto a = cells.get();
           // Always 0 -> 1 -> 2 -> 3 (program order = lock order).
-          for (int k = 0; k < 4; k++) a.set(k, a.get(k) + 1);
+          for (int k = 0; k < 4; k++) {
+            runtime::tx_lock_write(tc, a.raw(), k, &a.raw()->array_data()[k]);
+            a.set(k, a.get(k) + 1);
+          }
           split();
         }
       });

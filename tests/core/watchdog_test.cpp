@@ -8,7 +8,7 @@
 #include <thread>
 
 #include "api/sbd.h"
-#include "core/debug.h"
+#include "core/obs.h"
 #include "core/watchdog.h"
 
 namespace sbd {
@@ -65,18 +65,18 @@ TEST(Watchdog, DetectsLockWaitStall) {
   o.logToStderr = false;
   WatchdogGuard wd(o);
   const uint64_t before = core::Watchdog::stalls_detected();
-  core::DebugLog::drain();  // discard events from earlier tests
-  core::DebugLog::enable(true);
+  obs::drain();  // discard events from earlier tests
+  obs::set_enabled(true);
   run_stall(/*holdMillis=*/400);
-  core::DebugLog::enable(false);
+  obs::set_enabled(false);
   EXPECT_GT(core::Watchdog::stalls_detected(), before)
       << "a 400 ms lock hold must trip a 50 ms stall threshold";
-  const auto events = core::DebugLog::drain();
+  const auto events = obs::drain();
   bool sawStall = false;
   for (const auto& e : events)
-    if (e.kind == core::DebugEventKind::kWatchdogStall) sawStall = true;
+    if (e.kind == obs::EventKind::kWatchdogStall) sawStall = true;
   EXPECT_TRUE(sawStall) << "stalls must be recorded in the debug log";
-  EXPECT_NE(core::DebugLog::summarize(events).find("stalls"), std::string::npos)
+  EXPECT_NE(obs::summarize(events).find("stalls"), std::string::npos)
       << "stalls must surface in the debug-log summary";
 }
 

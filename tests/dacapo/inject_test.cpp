@@ -6,7 +6,7 @@
 // ten splits at this scale; the injector must fire in every run.)
 #include <gtest/gtest.h>
 
-#include "core/inject.h"
+#include "core/fault.h"
 #include "dacapo/harness.h"
 
 namespace sbd::dacapo {
@@ -30,9 +30,9 @@ TEST_P(InjectSweep, ChecksumsSurviveForcedAborts) {
   uint64_t injected;
   uint64_t abortsFired;
   {
-    core::AbortInjectionScope inject(0.40, /*seed=*/1234);
+    fault::PlanScope inject(fault::single_site(fault::Site::kSplitAbort, 0.40, /*seed=*/1234));
     injected = b.sbd(tiny, c.threads).checksum;
-    abortsFired = core::injected_aborts();
+    abortsFired = fault::fired(fault::Site::kSplitAbort);
   }
   EXPECT_EQ(clean, injected) << "retries must be invisible to the result";
   EXPECT_GT(abortsFired, 0u) << "the injector should actually have fired";
@@ -48,17 +48,19 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{"Tomcat", &tomcat_benchmark, 2}));
 
 TEST(Inject, RateZeroNeverFires) {
-  core::set_abort_injection(0);
-  for (int i = 0; i < 1000; i++) EXPECT_FALSE(core::should_inject_abort());
+  fault::clear_plan();
+  for (int i = 0; i < 1000; i++) EXPECT_FALSE(fault::should_fire(fault::Site::kSplitAbort));
 }
 
 TEST(Inject, DeterministicSequence) {
-  core::set_abort_injection(0.5, 7);
+  const fault::FaultPlan plan = fault::single_site(fault::Site::kSplitAbort, 0.5, 7);
+  fault::set_plan(plan);
   std::vector<bool> a;
-  for (int i = 0; i < 64; i++) a.push_back(core::should_inject_abort());
-  core::set_abort_injection(0.5, 7);
-  for (int i = 0; i < 64; i++) EXPECT_EQ(core::should_inject_abort(), a[static_cast<size_t>(i)]);
-  core::set_abort_injection(0);
+  for (int i = 0; i < 64; i++) a.push_back(fault::should_fire(fault::Site::kSplitAbort));
+  fault::set_plan(plan);
+  for (int i = 0; i < 64; i++)
+    EXPECT_EQ(fault::should_fire(fault::Site::kSplitAbort), a[static_cast<size_t>(i)]);
+  fault::clear_plan();
 }
 
 }  // namespace

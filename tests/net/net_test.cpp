@@ -83,7 +83,7 @@ TEST(Http, RequestSerializeParseRoundTrip) {
     return take;
   };
   HttpRequest back;
-  ASSERT_TRUE(read_request(readFn, back));
+  ASSERT_EQ(read_request_status(readFn, back), ReadStatus::kOk);
   EXPECT_EQ(back.method, "POST");
   EXPECT_EQ(back.path, "/orders?id=5");
   EXPECT_EQ(back.headers.at("Cookie"), "sid=abc");
@@ -103,15 +103,15 @@ TEST(Http, ResponseRoundTrip) {
     return take;
   };
   HttpResponse back;
-  ASSERT_TRUE(read_response(readFn, back));
+  ASSERT_EQ(read_response_status(readFn, back), ReadStatus::kOk);
   EXPECT_EQ(back.status, 404);
   EXPECT_EQ(back.body, "nope");
 }
 
-TEST(Http, EofBeforeRequestReturnsFalse) {
+TEST(Http, EofBeforeRequestReturnsEof) {
   auto readFn = [](void*, size_t) -> size_t { return 0; };
   HttpRequest req;
-  EXPECT_FALSE(read_request(readFn, req));
+  EXPECT_EQ(read_request_status(readFn, req), ReadStatus::kEof);
 }
 
 TEST(TxSocketT, WritesDeferredToCommit) {

@@ -126,11 +126,14 @@ TEST(Barrier, AllThreadsMeet) {
   runtime::GlobalRoot<Barrier> bar;
   run_sbd([&] { bar.set(Barrier::make(4)); });
   std::atomic<int> beforeCount{0}, afterMax{0};
+  // The section up to the barrier can abort and replay, so each thread
+  // counts its arrival once, guarded by a flag that lives off its stack.
+  std::atomic<bool> counted[4] = {};
   {
     std::vector<SbdThread> ts;
     for (int i = 0; i < 4; i++) {
-      ts.emplace_back([&] {
-        beforeCount++;
+      ts.emplace_back([&, i] {
+        if (!counted[i].exchange(true)) beforeCount++;
         allow_split([&] { bar.get().sync(); });
         // Everyone passed the barrier only after all 4 arrived.
         afterMax = std::max(afterMax.load(), beforeCount.load());
