@@ -23,8 +23,8 @@
 //      unordered), and the commit sweep checks seq order against the
 //      clocks in O(n * kMaxIds).
 //   3. Transaction lifecycle, keyed on (txn id, epoch): recycled txn
-//      ids must not alias (epoch = Transaction::start_seq is globally
-//      unique), no grant after the epoch's commit, at most one commit
+//      ids must not alias (epoch = Transaction::epoch(), strictly
+//      increasing per id), no grant after the epoch's commit, at most one commit
 //      per epoch, no abort after commit.
 //   4. Deadlock events name a victim that actually participated: the
 //      (victim id, victim epoch) pair carried by the event must have a
@@ -50,7 +50,7 @@ namespace sbd::oracle {
 struct Rec {
   obs::EventKind kind = obs::EventKind::kAborted;
   int txn = -1;        // transaction id (0..55), -1 if n/a
-  uint64_t epoch = 0;  // Transaction::start_seq at record time (0 = unknown)
+  uint64_t epoch = 0;  // Transaction::epoch() at record time (0 = unknown)
   int other = -1;      // kDeadlock: victim id; kAcquire: 1 = upgrade; kRelease: 1 = commit
   uint64_t seq = 0;    // kCommitOrder: commit seq; kDeadlock: victim epoch
   bool write = false;  // lock mode

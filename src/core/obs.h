@@ -83,11 +83,11 @@ struct Event {
   uint64_t lockAddr;                 // raw word address (0 if n/a); NOT stable
   uint64_t timestampNanos;
   uint64_t durationNanos;            // kGranted: wait latency; k*Pause/kCommit/kSplit
-  // Transaction epoch: Transaction::start_seq() at record time, so the
+  // Transaction epoch: Transaction::epoch() at record time, so the
   // oracle can tell recycled txn ids apart (0 = no transaction).
   uint64_t epoch;
   // kCommitOrder: the global commit sequence number; kDeadlock: the
-  // victim's epoch (start_seq); 0 otherwise.
+  // victim's epoch; 0 otherwise.
   uint64_t seq;
   // Global record ordinal: the modification order of one atomic counter,
   // drawn inside record(). For two conflicting lock operations (release
@@ -163,7 +163,7 @@ LockSym symbolize(const runtime::ManagedObject* obj, const core::LockWord* word)
 
 // Records one event into the calling thread's ring (lock-free; drops
 // and counts on overflow unless lossless() — see above). No-op while
-// disabled. `epoch` is the recording transaction's start_seq (0 = no
+// disabled. `epoch` is the recording transaction's epoch() (0 = no
 // txn); `seq` is the commit sequence (kCommitOrder) or victim epoch
 // (kDeadlock).
 void record(EventKind kind, int txnId, int other, const void* lockAddr,

@@ -100,9 +100,9 @@ TxnManager& TxnManager::instance() {
   return mgr;
 }
 
-bool TxnManager::request_abort(int victimId, uint64_t expectedSeq) {
+bool TxnManager::request_abort(int victimId, uint64_t expectedEpoch) {
   Transaction* t = lookup(victimId);
-  if (!t || t->start_seq() != expectedSeq) return false;
+  if (!t || t->epoch() != expectedEpoch) return false;
   if (!t->is_waiting()) return false;  // only waiting victims can be aborted remotely
   t->request_abort();
   // Kick the victim's parked node so it notices the flag now instead of
@@ -149,8 +149,9 @@ StatsCounters TxnManager::snapshot_stats() {
 
 namespace {
 
-void account_section_end(ThreadContext& tc, bool committed) {
-  const uint64_t now = now_nanos();
+// Charges the closing section's busy time up to the boundary clock
+// reading `now` and samples its footprint (Table 8).
+void account_section_end(ThreadContext& tc, bool committed, uint64_t now) {
   const uint64_t busy = now - tc.sectionStartNanos - tc.sectionBlockedNanos;
   if (committed)
     tc.busyNanosCommitted += busy;
@@ -174,7 +175,22 @@ void clear_section_state(ThreadContext& tc) {
   tc.txn.hasVersionedWrite_ = false;
   tc.txn.clear_abort_request();
   tc.txn.set_inevitable(false);
-  tc.sectionStartNanos = now_nanos();
+}
+
+// Starts the next section at boundary clock reading `now`: the origin
+// of its busy time and its epoch, (now << kEpochIdBits) | id. Epochs
+// must rise strictly per id, but a reading can tie or trail the id's
+// previous epoch (a coarse clock, or a hand-off within one tick); such
+// a reading steps one tick past it. The previous epoch is txn.epoch_:
+// the predecessor section's on a split, the id's retired epoch after
+// acquire_txn_id. No shared counter is drawn, so a split writes nothing
+// that another thread writes.
+void begin_epoch(ThreadContext& tc, uint64_t now) {
+  const uint64_t prev = tc.txn.epoch();
+  uint64_t epoch = (now << kEpochIdBits) | static_cast<uint64_t>(tc.txn.id());
+  if (epoch <= prev) epoch = prev + (uint64_t{1} << kEpochIdBits);
+  tc.txn.epoch_.store(epoch, std::memory_order_relaxed);
+  tc.sectionStartNanos = now;
   tc.sectionBlockedNanos = 0;
 }
 
@@ -205,17 +221,23 @@ void acquire_txn_id(ThreadContext& tc) {
     }
     tc.idWaitSinceNanos.store(0, std::memory_order_release);
   }
-  tc.txn.id_ = id;
+  tc.txn.id_.store(id, std::memory_order_relaxed);
   tc.txn.mask_ = txn_mask(id);
+  // The id's last epoch is the floor for begin_epoch, so epochs keep
+  // rising across the hand-off.
+  tc.txn.epoch_.store(mgr.retired_epoch_slot(id).load(std::memory_order_relaxed),
+                      std::memory_order_relaxed);
   mgr.publish(id, &tc.txn);
 }
 
 void release_txn_id(ThreadContext& tc) {
   auto& mgr = TxnManager::instance();
-  mgr.digest_slot(tc.txn.id()).store(0, std::memory_order_release);
-  mgr.unpublish(tc.txn.id());
-  mgr.id_pool().release(tc.txn.id());
-  tc.txn.id_ = -1;
+  const int id = tc.txn.id();
+  mgr.clear_digest(id);
+  mgr.retired_epoch_slot(id).store(tc.txn.epoch(), std::memory_order_relaxed);
+  mgr.unpublish(id);
+  mgr.id_pool().release(id);
+  tc.txn.id_.store(-1, std::memory_order_relaxed);
   tc.txn.mask_ = 0;
 }
 
@@ -247,13 +269,13 @@ void begin_initial_section(ThreadContext& tc) {
   SBD_CHECK_MSG(!tc.txn.active(), "nested atomic sections are not allowed");
   SBD_CHECK_MSG(tc.engine.has_anchor(), "SBD thread entry must set the stack anchor");
   acquire_txn_id(tc);
-  tc.txn.startSeq_ = TxnManager::instance().next_seq();
   clear_section_state(tc);
+  begin_epoch(tc, now_nanos());
   tc.inSbd = true;
   checkpoint_section(tc);
 }
 
-void commit_section(ThreadContext& tc) {
+uint64_t commit_section(ThreadContext& tc) {
   SBD_CHECK(tc.txn.active());
   // -1. Versioned read validation, BEFORE anything externally visible:
   //     a section whose invisible reads were overwritten must abort, so
@@ -263,9 +285,12 @@ void commit_section(ThreadContext& tc) {
   // relaxed load + a TLS tick on the unsampled path, cheap enough to
   // stay enabled under the perf-smoke run.
   const uint64_t traceStart = obs::sample_duration() ? now_nanos() : 0;
-  // 0. Sample the transaction footprint BEFORE resources flush their
-  //    buffers (Table 8 accounting measures the section's peak state).
-  account_section_end(tc, /*committed=*/true);
+  // 0. The section boundary: one clock reading ends this section's busy
+  //    time (and, on a split, starts the next section). The footprint
+  //    is sampled BEFORE resources flush their buffers (Table 8
+  //    accounting measures the section's peak state).
+  const uint64_t now = now_nanos();
+  account_section_end(tc, /*committed=*/true, now);
   // 1. Apply deferred external effects while memory locks are held, so a
   //    successor section acquiring our locks observes them (§3.4).
   for (TxResource* r : tc.txn.resources_) r->on_commit();
@@ -283,10 +308,10 @@ void commit_section(ThreadContext& tc) {
     tc.txn.commitVersion_ = advance_version_clock();
   if (fullTrace)
     obs::record(obs::EventKind::kCommitOrder, tc.txn.id(), -1, nullptr, nullptr,
-                obs::kNoIndex, false, 0, tc.txn.start_seq(), tc.txn.commitVersion_);
+                obs::kNoIndex, false, 0, tc.txn.epoch(), tc.txn.commitVersion_);
   // 3. Release all field/element locks and wake waiters.
   LockEngine::release_all(tc, /*committed=*/true);
-  TxnManager::instance().digest_slot(tc.txn.id()).store(0, std::memory_order_release);
+  TxnManager::instance().clear_digest(tc.txn.id());
   // 4. Run deferred actions (thread starts, notifies) after locks are
   //    free, so the released condition is observable (§3.5).
   auto deferred = std::move(tc.txn.deferred_);
@@ -299,7 +324,8 @@ void commit_section(ThreadContext& tc) {
   degrade::on_commit(tc);
   if (traceStart != 0)
     obs::record(obs::EventKind::kCommit, tc.txn.id(), -1, nullptr, nullptr,
-                obs::kNoIndex, false, now_nanos() - traceStart, tc.txn.start_seq());
+                obs::kNoIndex, false, now_nanos() - traceStart, tc.txn.epoch());
+  return now;
 }
 
 void split_section(ThreadContext& tc) {
@@ -307,10 +333,15 @@ void split_section(ThreadContext& tc) {
   if (!tc.txn.inevitable() && fault::should_fire(fault::Site::kSplitAbort))
     abort_and_restart(tc);
   const uint64_t traceStart = obs::sample_duration() ? now_nanos() : 0;
-  commit_section(tc);
-  Safepoint::poll(tc);
-  tc.txn.startSeq_ = TxnManager::instance().next_seq();
+  const uint64_t now = commit_section(tc);
   clear_section_state(tc);
+  begin_epoch(tc, now);
+  if (Safepoint::stop_requested()) {
+    // A GC pause is nobody's busy time: charge it as blocked.
+    const uint64_t pauseStart = now_nanos();
+    Safepoint::poll(tc);
+    tc.sectionBlockedNanos += now_nanos() - pauseStart;
+  }
   // Recorded BEFORE the checkpoint: an abort-restore re-arrival in
   // checkpoint_section must not replay the record.
   if (traceStart != 0)
@@ -327,8 +358,8 @@ void commit_and_release_id(ThreadContext& tc) {
 
 void reacquire_id_and_checkpoint(ThreadContext& tc) {
   acquire_txn_id(tc);
-  tc.txn.startSeq_ = TxnManager::instance().next_seq();
   clear_section_state(tc);
+  begin_epoch(tc, now_nanos());
   checkpoint_section(tc);
 }
 
@@ -347,7 +378,7 @@ void abort_and_restart(ThreadContext& tc) {
   // Past the point of no return (set_inevitable) an abort is fatal: the
   // section's effects may already be externally visible.
   SBD_CHECK_MSG(!tc.txn.inevitable(), "abort of an inevitable section");
-  account_section_end(tc, /*committed=*/false);  // sample before buffers drop
+  account_section_end(tc, /*committed=*/false, now_nanos());  // sample before buffers drop
   // 1. Discard deferred external effects and rearm replay buffers.
   for (auto it = tc.txn.resources_.rbegin(); it != tc.txn.resources_.rend(); ++it)
     (*it)->on_abort();
@@ -361,11 +392,11 @@ void abort_and_restart(ThreadContext& tc) {
   });
   // 3. Release locks; instances in the init log become garbage.
   LockEngine::release_all(tc, /*committed=*/false);
-  TxnManager::instance().digest_slot(tc.txn.id()).store(0, std::memory_order_release);
+  TxnManager::instance().clear_digest(tc.txn.id());
   clear_section_state(tc);
   tc.stats.aborts++;
   obs::record(obs::EventKind::kAborted, tc.txn.id(), -1, nullptr, nullptr,
-              obs::kNoIndex, false, 0, tc.txn.start_seq());
+              obs::kNoIndex, false, 0, tc.txn.epoch());
   // 4. The serialization token: this is the only place it is waited
   //    for, because we hold no locks here. A thread that wants it (a
   //    busy become_inevitable) or is over the retry budget blocks for
@@ -430,10 +461,10 @@ bool update_digest_and_resolve(ThreadContext& tc, uint64_t direct,
   // the oldest transaction always makes progress, §3.2).
   tc.stats.deadlocksResolved++;
   int victim = -1;
-  uint64_t victimSeq = 0;
+  uint64_t victimEpoch = 0;
   if (!tc.txn.inevitable()) {
     victim = myId;
-    victimSeq = tc.txn.start_seq();
+    victimEpoch = tc.txn.epoch();
   }
   uint64_t cand = cycle;
   while (cand) {
@@ -442,8 +473,9 @@ bool update_digest_and_resolve(ThreadContext& tc, uint64_t direct,
     Transaction* t = mgr.lookup(d);
     if (!t || !t->is_waiting()) continue;
     if (t->inevitable()) continue;  // inevitable sections are never victims
-    if (victim < 0 || t->start_seq() > victimSeq) {
-      victimSeq = t->start_seq();
+    const uint64_t epoch = t->epoch();
+    if (victim < 0 || epoch > victimEpoch) {
+      victimEpoch = epoch;
       victim = d;
     }
   }
@@ -452,17 +484,17 @@ bool update_digest_and_resolve(ThreadContext& tc, uint64_t direct,
   // victim and the contended lock (the obs::Event::other contract) —
   // the §6 workflow needs to know who lost, not just that a cycle
   // happened. obj is stable here: our parked node pins it as a GC root
-  // while we are enqueued. The victim's epoch (start_seq) rides in
+  // while we are enqueued. The victim's epoch rides in
   // `seq` so the offline oracle can verify the victim actually
   // participated (it must have a prior kBlocked with the same id +
   // epoch).
   obs::record_lock_event(obs::EventKind::kDeadlock, myId, victim, obj, word,
-                         false, 0, tc.txn.start_seq(), victimSeq);
+                         false, 0, tc.txn.epoch(), victimEpoch);
   // Deadlock involvement disqualifies the class from the adaptive
   // controller's versioned (invisible-reader) auto-selection.
   runtime::lockplan::note_deadlock(obj);
   if (victim == myId) return true;
-  mgr.request_abort(victim, victimSeq);
+  mgr.request_abort(victim, victimEpoch);
   return false;
 }
 
@@ -480,7 +512,7 @@ void slow_acquire(ThreadContext& tc, runtime::ManagedObject* obj, LockWord* word
   tc.stats.contendedAcquires++;
   runtime::lockplan::note_contention(obj, wantWrite || upgrader);
   obs::record_lock_event(obs::EventKind::kBlocked, myId, -1, obj, word,
-                         wantWrite || upgrader, 0, tc.txn.start_seq());
+                         wantWrite || upgrader, 0, tc.txn.epoch());
   const uint64_t blockStart = now_nanos();
   tc.lockWaitSinceNanos.store(blockStart, std::memory_order_release);
 
@@ -496,14 +528,14 @@ void slow_acquire(ThreadContext& tc, runtime::ManagedObject* obj, LockWord* word
     // "how long did this lock make us wait", not only "how often".
     if (granted) {
       obs::record_lock_event(obs::EventKind::kGranted, myId, -1, obj, word,
-                             wantWrite || upgrader, dt, tc.txn.start_seq());
+                             wantWrite || upgrader, dt, tc.txn.epoch());
       // Full trace: every grant path funnels through here, and each one
       // records AFTER its successful CAS — so the acquire event is
       // ordered after the matching release on the same word.
       if (obs::full_trace())
         obs::record_lock_event(obs::EventKind::kAcquire, myId, upgrader ? 1 : 0,
                                obj, word, wantWrite || upgrader, 0,
-                               tc.txn.start_seq());
+                               tc.txn.epoch());
     }
   };
 
@@ -567,7 +599,7 @@ void slow_acquire(ThreadContext& tc, runtime::ManagedObject* obj, LockWord* word
   auto leave_waiting = [&] {
     // Clear the published digest: a stale digest would make other
     // transactions that later wait on us see phantom cycles.
-    mgr.digest_slot(myId).store(0, std::memory_order_release);
+    mgr.clear_digest(myId);
     mgr.wait_word_slot(myId).store(nullptr, std::memory_order_release);
     tc.txn.set_waiting(nullptr);
     tc.waitingObj = nullptr;
@@ -648,7 +680,7 @@ void LockEngine::acquire_read(ThreadContext& tc, runtime::ManagedObject* obj,
         tc.stats.acqRls++;
         if (obs::full_trace())
           obs::record_lock_event(obs::EventKind::kAcquire, tc.txn.id(), 0, obj,
-                                 word, false, 0, tc.txn.start_seq());
+                                 word, false, 0, tc.txn.epoch());
         return;
       }
       tc.stats.casFailures++;
@@ -679,7 +711,7 @@ void LockEngine::acquire_write(ThreadContext& tc, runtime::ManagedObject* obj,
               rec->write = true;
             if (obs::full_trace())
               obs::record_lock_event(obs::EventKind::kAcquire, tc.txn.id(), 1,
-                                     obj, word, true, 0, tc.txn.start_seq());
+                                     obj, word, true, 0, tc.txn.epoch());
             return;
           }
           tc.stats.casFailures++;
@@ -725,7 +757,7 @@ void LockEngine::acquire_write(ThreadContext& tc, runtime::ManagedObject* obj,
         tc.stats.acqRls++;
         if (obs::full_trace())
           obs::record_lock_event(obs::EventKind::kAcquire, tc.txn.id(), 0, obj,
-                                 word, true, 0, tc.txn.start_seq());
+                                 word, true, 0, tc.txn.epoch());
         return;
       }
       tc.stats.casFailures++;
@@ -757,7 +789,7 @@ void LockEngine::release_all(ThreadContext& tc, bool committed) {
     if (fullTrace)
       obs::record_lock_event(obs::EventKind::kRelease, tc.txn.id(),
                              committed ? 1 : 0, rec.obj, rec.word, rec.write, 0,
-                             tc.txn.start_seq());
+                             tc.txn.epoch());
     if (rec.versioned) {
       // Versioned word: release = publish a fresh stamp. On commit the
       // stamp is the commit seq; on abort it is a fresh clock draw too —
@@ -809,7 +841,7 @@ constexpr int kVersionedSpinLimit = 64;
   if (obj && obj->h.cls)
     obj->h.cls->versionAborts.fetch_add(1, std::memory_order_relaxed);
   obs::record_lock_event(obs::EventKind::kVersionAbort, tc.txn.id(), reason, obj,
-                         word, false, 0, tc.txn.start_seq());
+                         word, false, 0, tc.txn.epoch());
   abort_and_restart(tc);
 }
 
@@ -880,7 +912,7 @@ bool LockEngine::versioned_acquire_write(ThreadContext& tc, runtime::ManagedObje
         tc.stats.contendedAcquires++;
         runtime::lockplan::note_contention(obj, true);
         obs::record_lock_event(obs::EventKind::kBlocked, myId, -1, obj, word,
-                               true, 0, tc.txn.start_seq());
+                               true, 0, tc.txn.epoch());
         if (tc.txn.inevitable())
           tc.lockWaitSinceNanos.store(now_nanos(), std::memory_order_release);
       }
@@ -894,7 +926,7 @@ bool LockEngine::versioned_acquire_write(ThreadContext& tc, runtime::ManagedObje
         auto& mgr = TxnManager::instance();
         const int owner = version_owner(w);
         if (Transaction* t = mgr.lookup(owner))
-          mgr.request_abort(owner, t->start_seq());
+          mgr.request_abort(owner, t->epoch());
       }
       Safepoint::poll(tc);
       std::this_thread::yield();
@@ -918,7 +950,7 @@ bool LockEngine::versioned_acquire_write(ThreadContext& tc, runtime::ManagedObje
       tc.stats.acqRls++;
       if (obs::full_trace())
         obs::record_lock_event(obs::EventKind::kAcquire, myId, 0, obj, word, true,
-                               0, tc.txn.start_seq());
+                               0, tc.txn.epoch());
       return true;
     }
     tc.stats.casFailures++;
@@ -953,7 +985,7 @@ void LockEngine::versioned_validate(ThreadContext& tc) {
   // the happens-before edges invisible reads otherwise leave untraced.
   if (obs::full_trace())
     obs::record(obs::EventKind::kValidate, txn.id(), static_cast<int>(n), nullptr,
-                nullptr, obs::kNoIndex, false, 0, txn.start_seq(), txn.readVersion_);
+                nullptr, obs::kNoIndex, false, 0, txn.epoch(), txn.readVersion_);
 }
 
 void LockEngine::versioned_promote_for_inevitable(ThreadContext& tc) {

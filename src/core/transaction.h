@@ -10,6 +10,7 @@
 //   - fair FIFO wait queues, upgrading readers jump to the front
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -64,16 +65,29 @@ struct VersionedRead {
 uint64_t version_clock();
 uint64_t advance_version_clock();
 
+// An epoch is (section start nanos << kEpochIdBits) | txn id: the id in
+// the low bits keeps epochs of different ids apart and orders clock ties.
+inline constexpr int kEpochIdBits = 6;
+static_assert(kMaxTxns <= (1 << kEpochIdBits), "txn id must fit the epoch's low bits");
+
 class Transaction {
  public:
   Transaction() = default;
   Transaction(const Transaction&) = delete;
   Transaction& operator=(const Transaction&) = delete;
 
-  bool active() const { return id_ >= 0; }
-  int id() const { return id_; }
+  // id() and epoch() are read by other threads (deadlock victim
+  // selection, request_abort, the watchdog scan), hence atomics; only
+  // the owning thread writes them, and relaxed is enough: a remote
+  // reader pairs them with its own re-check (request_abort).
+  bool active() const { return id() >= 0; }
+  int id() const { return id_.load(std::memory_order_relaxed); }
   LockWord mask() const { return mask_; }
-  uint64_t start_seq() const { return startSeq_; }
+  // Identity of the current section's incarnation of id(): non-zero,
+  // strictly increasing per id (also across id hand-offs), unchanged
+  // across abort-retry, and ordered by section start time across ids
+  // (begin_epoch in transaction.cpp derives it).
+  uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
   void log_undo(runtime::ManagedObject* obj, uint64_t* slot, uint64_t oldValue) {
     undoLog_.push_back(UndoEntry{obj, slot, oldValue});
@@ -138,9 +152,9 @@ class Transaction {
 
   // Internal to the STM engine (section control and lock engine).
   // User code must treat everything below as private.
-  int id_ = -1;
+  std::atomic<int> id_{-1};
   LockWord mask_ = 0;
-  uint64_t startSeq_ = 0;
+  std::atomic<uint64_t> epoch_{0};
   std::atomic<bool> abortRequested_{false};
   std::atomic<bool> inevitable_{false};
   std::atomic<bool> waiting_{false};
@@ -262,8 +276,6 @@ class TxnManager {
 
   TxnIdPool& id_pool() { return idPool_; }
 
-  uint64_t next_seq() { return seq_.fetch_add(1, std::memory_order_relaxed); }
-
   void publish(int id, Transaction* txn) {
     byId_[id].store(txn, std::memory_order_release);
   }
@@ -271,14 +283,25 @@ class TxnManager {
   Transaction* lookup(int id) { return byId_[id].load(std::memory_order_acquire); }
 
   std::atomic<uint64_t>& digest_slot(int id) { return digests_[id]; }
+  // Only the holder of `id` writes its digest slot, so this load sees
+  // its own last store; the common already-clear case skips the store
+  // to a cache line seven other ids share.
+  void clear_digest(int id) {
+    if (digests_[id].load(std::memory_order_relaxed) != 0)
+      digests_[id].store(0, std::memory_order_release);
+  }
+  // The epoch `id` had when it was last released: the floor its next
+  // holder's epoch must exceed. Written on release, read on acquire;
+  // the id pool's release/acquire orders the two.
+  std::atomic<uint64_t>& retired_epoch_slot(int id) { return retiredEpochs_[id]; }
   // The word the holder of `id` is parked on, or nullptr. Kept here
   // rather than read through lookup(id), which another thread may free
   // on exit, because ParkingLot::wait_cycle walks foreign waiters.
   std::atomic<const LockWord*>& wait_word_slot(int id) { return waitWords_[id]; }
 
   // Asks the transaction currently holding `victimId` to abort, if it is
-  // still the one with `expectedSeq` (guards against id reuse).
-  bool request_abort(int victimId, uint64_t expectedSeq);
+  // still the one with `expectedEpoch` (guards against id reuse).
+  bool request_abort(int victimId, uint64_t expectedEpoch);
 
   // Thread registry (stats aggregation, safepoints, GC root scan).
   void register_thread(ThreadContext* tc);
@@ -312,9 +335,9 @@ class TxnManager {
   TxnManager() = default;
 
   TxnIdPool idPool_;
-  std::atomic<uint64_t> seq_{1};
   std::atomic<Transaction*> byId_[kMaxTxns] = {};
   std::atomic<uint64_t> digests_[kMaxTxns] = {};
+  std::atomic<uint64_t> retiredEpochs_[kMaxTxns] = {};
   std::atomic<const LockWord*> waitWords_[kMaxTxns] = {};
 
   std::mutex registryMu_;
@@ -334,8 +357,10 @@ class TxnManager {
 void begin_initial_section(ThreadContext& tc);
 
 // Ends the active section: commits resources, flips the init log,
-// releases locks, runs deferred actions.
-void commit_section(ThreadContext& tc);
+// releases locks, runs deferred actions. Returns the clock reading that
+// ended the section's busy time, so a split starts the next section at
+// the same instant instead of reading the clock again.
+uint64_t commit_section(ThreadContext& tc);
 
 // Ends the active section and starts the next one (the split operation,
 // §2.1). Reuses the transaction id. Takes a fresh checkpoint so an

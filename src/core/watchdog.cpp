@@ -51,7 +51,7 @@ struct WaitSnap {
   uint64_t since;  // episode start (nonzero)
   bool idPool;
   int txnId;
-  uint64_t startSeq;
+  uint64_t epoch;
   uint64_t consecAborts;
   const LockWord* word;
 };
@@ -59,7 +59,7 @@ struct WaitSnap {
 // Examines one stalled wait. Runs WITHOUT the thread-registry lock; the
 // cross-thread values in `s` are diagnostic-only racy copies, and the
 // abort fallback goes through TxnManager::request_abort, which
-// re-validates the victim by (id, seq).
+// re-validates the victim by (id, epoch).
 void check_wait(const WaitSnap& s, uint64_t now, std::map<uint64_t, StallRec>& recs) {
   if (now <= s.since) return;
   const uint64_t waited = now - s.since;
@@ -118,7 +118,7 @@ void check_wait(const WaitSnap& s, uint64_t now, std::map<uint64_t, StallRec>& r
   if (!s.idPool && gOpts.abortVictimAfterNanos != 0 && !rec.abortSent &&
       waited >= gOpts.abortVictimAfterNanos) {
     rec.abortSent = true;
-    if (s.txnId >= 0 && TxnManager::instance().request_abort(s.txnId, s.startSeq)) {
+    if (s.txnId >= 0 && TxnManager::instance().request_abort(s.txnId, s.epoch)) {
       gVictims.fetch_add(1, std::memory_order_relaxed);
       if (gOpts.logToStderr)
         std::fprintf(stderr, "[sbd-watchdog] aborting stalled txn %d (timeout fallback)\n",
@@ -174,7 +174,7 @@ void run() {
       const uint64_t ls = tc->lockWaitSinceNanos.load(std::memory_order_acquire);
       const uint64_t is = tc->idWaitSinceNanos.load(std::memory_order_acquire);
       if (ls != 0)
-        snaps.push_back({tc->uid, ls, /*idPool=*/false, tc->txn.id_, tc->txn.startSeq_,
+        snaps.push_back({tc->uid, ls, /*idPool=*/false, tc->txn.id(), tc->txn.epoch(),
                          tc->consecutiveAborts.load(std::memory_order_relaxed),
                          tc->txn.waiting_on()});
       if (is != 0)

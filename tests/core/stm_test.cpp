@@ -2,10 +2,16 @@
 // conflict serialization, deadlock resolution, splits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "api/sbd.h"
+#include "common/timing.h"
+#include "core/fault.h"
 
 namespace sbd {
 namespace {
@@ -393,6 +399,150 @@ TEST(Stm, DeferredThreadStartHappensAtCommit) {
     EXPECT_FALSE(childRan.load());
     child.join();  // splits -> deferred start fires -> waits
     EXPECT_TRUE(childRan.load());
+  });
+}
+
+// --- The epoch contract (Transaction::epoch) --------------------------------
+
+TEST(StmEpoch, NonZeroAndRisingAcrossSplits) {
+  run_sbd([&] {
+    auto& tc = tls_context();
+    uint64_t prev = tc.txn.epoch();
+    EXPECT_NE(prev, 0u);
+    for (int i = 0; i < 1000; i++) {
+      split();
+      const uint64_t e = tc.txn.epoch();
+      EXPECT_GT(e, prev) << "split " << i;
+      prev = e;
+    }
+  });
+}
+
+TEST(StmEpoch, RisesAcrossIdHandOff) {
+  // Thread A's last epoch on its id.
+  int idA = -1;
+  uint64_t epochA = 0;
+  run_sbd([&] {
+    split();
+    idA = tls_context().txn.id();
+    epochA = tls_context().txn.epoch();
+  });
+  ASSERT_GE(idA, 0);
+  // Hold every other id, so the next section must take over idA.
+  auto& pool = TxnManager::instance().id_pool();
+  std::vector<int> held;
+  for (int id; (id = pool.try_acquire()) >= 0;) held.push_back(id);
+  ASSERT_NE(std::find(held.begin(), held.end(), idA), held.end());
+  held.erase(std::find(held.begin(), held.end(), idA));
+  pool.release(idA);
+  auto run_on_idA = [&] {
+    uint64_t first = 0, second = 0;
+    int id = -1;
+    std::thread([&] {
+      run_sbd([&] {
+        id = tls_context().txn.id();
+        first = tls_context().txn.epoch();
+        split();
+        second = tls_context().txn.epoch();
+      });
+    }).join();
+    EXPECT_EQ(id, idA);
+    EXPECT_GT(second, first);
+    return std::pair{first, second};
+  };
+  // A hand-off on a running clock.
+  const auto [b1, b1Last] = run_on_idA();
+  EXPECT_GT(b1, epochA);
+  // A hand-off where the clock has not yet reached the id's last epoch
+  // (a coarse clock, or a reading within the same tick): the retired
+  // epoch is raised 20 ms ahead of the clock, and the new holder must
+  // still start above it.
+  const uint64_t floor =
+      b1Last + (uint64_t{20'000'000} << core::kEpochIdBits);
+  TxnManager::instance().retired_epoch_slot(idA).store(floor);
+  const auto [b2, b2Last] = run_on_idA();
+  EXPECT_GT(b2, floor);
+  EXPECT_GT(b2Last, b2);
+  for (int id : held) pool.release(id);
+  // Leave no epoch ahead of the clock for the tests that follow.
+  while ((now_nanos() << core::kEpochIdBits) <= b2Last)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+TEST(StmEpoch, UnchangedAcrossAbortRetry) {
+  constexpr int kSplits = 200;
+  static std::array<uint64_t, kSplits> epochs;
+  static std::array<int, kSplits> runs;
+  epochs.fill(0);
+  runs.fill(0);
+  fault::PlanScope storm(fault::single_site(fault::Site::kSplitAbort, 0.3, 5));
+  run_sbd([&] {
+    for (int i = 0; i < kSplits; i++) {
+      split();
+      // An injected abort at the next split restarts here with the
+      // stack (i included) restored: the same section runs again.
+      const uint64_t e = tls_context().txn.epoch();
+      if (runs[i]++ == 0) {
+        epochs[i] = e;
+      } else {
+        EXPECT_EQ(e, epochs[i]) << "section " << i << " changed epoch on retry";
+      }
+      if (i > 0) {
+        EXPECT_GT(e, epochs[i - 1]);
+      }
+    }
+  });
+  EXPECT_GT(fault::fired(fault::Site::kSplitAbort), 0u);
+  EXPECT_GT(*std::max_element(runs.begin(), runs.end()), 1) << "no section was retried";
+}
+
+TEST(StmEpoch, LaterSectionIsTheDeadlockVictim) {
+  runtime::GlobalRoot<Cell> a, b;
+  run_sbd([&] {
+    a.set(Cell::make(0));
+    b.set(Cell::make(0));
+  });
+  // Section executions (counted off-stack, so retries add up).
+  static std::atomic<int> olderRuns, youngerRuns;
+  olderRuns = 0;
+  youngerRuns = 0;
+  std::atomic<int> phase{0};
+  std::atomic<uint64_t> olderEpoch{0}, youngerEpoch{0};
+  {
+    SbdThread older([&] {
+      split();  // the older section starts here
+      olderRuns++;
+      olderEpoch = tls_context().txn.epoch();
+      a.get().set_value(1);
+      int started = 0;  // a retry must not reset the phase
+      phase.compare_exchange_strong(started, 1);
+      while (phase.load() < 2) {
+      }
+      b.get().set_value(1);  // waits for the younger section
+    });
+    SbdThread younger([&] {
+      while (phase.load() < 1) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      split();  // starts strictly after the older section
+      youngerRuns++;
+      youngerEpoch = tls_context().txn.epoch();
+      b.get().set_value(2);
+      phase.store(2);
+      a.get().set_value(2);  // closes the cycle
+    });
+    older.start();
+    younger.start();
+    older.join();
+    younger.join();
+  }
+  EXPECT_LT(olderEpoch.load(), youngerEpoch.load());
+  EXPECT_EQ(olderRuns.load(), 1) << "the older section must never be the victim";
+  EXPECT_GE(youngerRuns.load(), 2) << "the younger section must abort and retry";
+  // The older section committed first; the younger one's retry wrote last.
+  run_sbd([&] {
+    EXPECT_EQ(a.get().value(), 2);
+    EXPECT_EQ(b.get().value(), 2);
   });
 }
 
