@@ -8,13 +8,11 @@
 #include "il/lowering.h"
 #include "tio/console.h"
 
-// Direct threading needs GNU labels-as-values; elsewhere the same
-// handler bodies run under a token switch (identical semantics, one
-// more branch per dispatch).
-#if defined(__GNUC__) || defined(__clang__)
-#define SBD_IL_THREADED 1
-#else
-#define SBD_IL_THREADED 0
+// Direct threading needs GNU labels-as-values. Every supported
+// toolchain is GCC or Clang (core/fastctx uses inline asm, the runtime
+// uses futex), so there is no portable fallback.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "il/compile.cpp needs GNU labels-as-values (GCC or Clang)"
 #endif
 
 namespace sbd::il {
@@ -25,22 +23,27 @@ using runtime::ManagedObject;
 
 ManagedObject* as_obj(int64_t v) { return reinterpret_cast<ManagedObject*>(v); }
 
+COp bin_cop(BinOp op) {
+  return static_cast<COp>(static_cast<int>(COp::kCBinAdd) + static_cast<int>(op));
+}
+COp cmp_br_cop(BinOp op) {
+  return static_cast<COp>(static_cast<int>(COp::kCCmpBrAdd) + static_cast<int>(op));
+}
+
 // The execution core. Called with `labelsOut` non-null (and f null)
 // once at startup to harvest the handler label table for compile() —
 // the null-function-call idiom that lets CInstrs carry their handler
 // address directly.
 int64_t exec_c(core::ThreadContext& tc, const CompiledFunction* f, const int64_t* args,
                int depth, const void* const** labelsOut) {
-#if SBD_IL_THREADED
-  // Order must match COp exactly.
   static const void* const labels[] = {
-      &&H_kCConst,     &&H_kCMove,       &&H_kCBin,      &&H_kCNew,
-      &&H_kCNewArr,    &&H_kCLockReadF,  &&H_kCLockWriteF, &&H_kCLockReadE,
-      &&H_kCLockWriteE, &&H_kCGetF,      &&H_kCSetF,     &&H_kCGetFNl,
-      &&H_kCSetFNl,    &&H_kCGetE,       &&H_kCSetE,     &&H_kCGetENl,
-      &&H_kCSetENl,    &&H_kCLen,        &&H_kCCall,     &&H_kCSplit,
-      &&H_kCPrint,     &&H_kCBr,         &&H_kCCbr,      &&H_kCCmpBr,
-      &&H_kCRet,
+#define SBD_IL_LABEL(n) &&H_##n,
+#define SBD_IL_BIN_LABEL(name, expr) &&H_kCBin##name,
+#define SBD_IL_CMPBR_LABEL(name, expr) &&H_kCCmpBr##name,
+      SBD_IL_COPS(SBD_IL_LABEL, SBD_IL_BIN_LABEL, SBD_IL_CMPBR_LABEL)
+#undef SBD_IL_LABEL
+#undef SBD_IL_BIN_LABEL
+#undef SBD_IL_CMPBR_LABEL
   };
   static_assert(sizeof(labels) / sizeof(labels[0]) ==
                 static_cast<size_t>(COp::kCCount));
@@ -48,12 +51,6 @@ int64_t exec_c(core::ThreadContext& tc, const CompiledFunction* f, const int64_t
     *labelsOut = labels;
     return 0;
   }
-#else
-  if (labelsOut) {
-    *labelsOut = nullptr;
-    return 0;
-  }
-#endif
 
   SBD_CHECK_MSG(depth < kMaxDepth, "IL call depth exceeded");
   CanSplitScope scope(tc, f->canSplit, f->needsScope);
@@ -90,7 +87,6 @@ int64_t exec_c(core::ThreadContext& tc, const CompiledFunction* f, const int64_t
   const CInstr* base = cf->code.data();
   const CInstr* pc = base;
 
-#if SBD_IL_THREADED
 #define HANDLER(n) H_##n:
 #define DISPATCH() goto* const_cast<void*>(pc->handler)
 #define NEXT()  \
@@ -103,23 +99,9 @@ int64_t exec_c(core::ThreadContext& tc, const CompiledFunction* f, const int64_t
     pc = base + (t); \
     DISPATCH();      \
   } while (0)
+// Two-target conditional: one dispatch on either edge.
+#define BRANCH(cond) JUMP((cond) ? pc->aux : pc->alt)
   DISPATCH();
-#else
-#define DISPATCH()
-#define HANDLER(n) case COp::n:
-#define NEXT() \
-  {            \
-    ++pc;      \
-    break;     \
-  }
-#define JUMP(t)      \
-  {                  \
-    pc = base + (t); \
-    break;           \
-  }
-  for (;;) {
-    switch (pc->op) {
-#endif
 
   HANDLER(kCConst) {
     locals[pc->a] = pc->imm;
@@ -129,10 +111,13 @@ int64_t exec_c(core::ThreadContext& tc, const CompiledFunction* f, const int64_t
     locals[pc->a] = locals[pc->b];
     NEXT();
   }
-  HANDLER(kCBin) {
-    locals[pc->a] = eval_bin(static_cast<BinOp>(pc->sub), locals[pc->b], locals[pc->c]);
-    NEXT();
+#define SBD_IL_BIN_HANDLER(name, expr)                         \
+  HANDLER(kCBin##name) {                                       \
+    locals[pc->a] = binop::name(locals[pc->b], locals[pc->c]); \
+    NEXT();                                                    \
   }
+  SBD_IL_BINOPS(SBD_IL_BIN_HANDLER)
+#undef SBD_IL_BIN_HANDLER
   HANDLER(kCNew) {
     locals[pc->a] =
         reinterpret_cast<int64_t>(runtime::Heap::instance().alloc_object(pc->cls));
@@ -273,17 +258,15 @@ int64_t exec_c(core::ThreadContext& tc, const CompiledFunction* f, const int64_t
     NEXT();
   }
   HANDLER(kCBr) { JUMP(pc->aux); }
-  HANDLER(kCCbr) {
-    if (locals[pc->a] != 0) JUMP(pc->aux);
-    NEXT();
+  HANDLER(kCCbr) { BRANCH(locals[pc->a] != 0); }
+#define SBD_IL_CMPBR_HANDLER(name, expr)                                 \
+  HANDLER(kCCmpBr##name) {                                               \
+    const int64_t v = binop::name(locals[pc->b], locals[pc->c]);         \
+    locals[pc->a] = v; /* the fused kBin's store is preserved */         \
+    BRANCH(v != 0);                                                      \
   }
-  HANDLER(kCCmpBr) {
-    const int64_t v =
-        eval_bin(static_cast<BinOp>(pc->sub), locals[pc->b], locals[pc->c]);
-    locals[pc->a] = v;  // the fused kBin's store is preserved
-    if (v != 0) JUMP(pc->aux);
-    NEXT();
-  }
+  SBD_IL_BINOPS(SBD_IL_CMPBR_HANDLER)
+#undef SBD_IL_CMPBR_HANDLER
   HANDLER(kCRet) {
     const int64_t rv = pc->a >= 0 ? locals[pc->a] : 0;
     if (fp == 0) {
@@ -307,16 +290,11 @@ int64_t exec_c(core::ThreadContext& tc, const CompiledFunction* f, const int64_t
     NEXT();
   }
 
-#if !SBD_IL_THREADED
-      default:
-        SBD_CHECK_MSG(false, "IL compiled dispatch: bad opcode");
-    }
-  }
-#endif
 #undef HANDLER
 #undef DISPATCH
 #undef NEXT
 #undef JUMP
+#undef BRANCH
 
 done:
   return result;  // CanSplitScope unwinds the canSplit dynamic scope
@@ -335,6 +313,45 @@ const void* const* labels_table() {
 // Lowering
 // ---------------------------------------------------------------------------
 
+// Jump threading over patched code. Only control transfer changes:
+// every path still executes the same non-branch instructions.
+//   * a kCBr to a kCBr goes straight to the final target;
+//   * a kCBr whose final target is a conditional branch becomes a copy
+//     of it (evaluating — and, for a compare-branch, storing — here is
+//     what the jump would have done next), so a loop back-edge costs
+//     one dispatch;
+//   * conditional targets skip kCBr chains the same way.
+// Each code index is resolved once, so the pass is linear. A cycle made
+// only of kCBrs (an empty infinite loop) keeps jumping into itself.
+void thread_jumps(std::vector<CInstr>& code) {
+  std::vector<int32_t> dest(code.size(), -1);  // memoized final target of a kCBr
+  std::vector<int32_t> chain;
+  auto final_target = [&](int32_t t) {
+    chain.clear();
+    while (code[t].op == COp::kCBr && dest[t] < 0) {
+      dest[t] = t;  // provisional: a cycle resolves onto itself
+      chain.push_back(t);
+      t = code[t].aux;
+    }
+    const int32_t d = code[t].op == COp::kCBr ? dest[t] : t;
+    for (int32_t i : chain) dest[i] = d;
+    return d;
+  };
+  for (CInstr& ci : code) {
+    if (ci.op != COp::kCBr) continue;
+    const int32_t d = final_target(ci.aux);
+    if (is_cond_branch(code[d].op))
+      ci = code[d];
+    else
+      ci.aux = d;
+  }
+  for (CInstr& ci : code) {
+    if (!is_cond_branch(ci.op)) continue;
+    ci.aux = final_target(ci.aux);
+    ci.alt = final_target(ci.alt);
+  }
+}
+
 void lower_fn(const Function& f, const std::map<std::string, CompiledFunction*>& fns,
               CompiledFunction& cf) {
   SBD_CHECK_MSG(!f.blocks.empty(), "IL compile: function has no blocks");
@@ -352,21 +369,53 @@ void lower_fn(const Function& f, const std::map<std::string, CompiledFunction*>&
     return b;
   };
 
-  std::vector<int32_t> blockStart(f.blocks.size(), -1);
-  std::vector<std::pair<size_t, int>> patches;  // code index -> block id
+  // Greedy chain layout: block 0 first (so code index 0 is the entry),
+  // then each block's fallthrough-preferred successor — the
+  // unconditional target, or a conditional's false edge — until the
+  // chain reaches an exit or a placed block; the next chain starts at
+  // the lowest unplaced block. A block holding a kRet ends there, so
+  // its terminator is dead and neither followed nor checked.
+  const size_t nb = f.blocks.size();
+  std::vector<int> preferred(nb, -1);
+  for (size_t b = 0; b < nb; b++) {
+    const Block& blk = f.blocks[b];
+    bool returns = false;
+    for (const Instr& ins : blk.instrs) returns = returns || ins.op == Op::kRet;
+    if (returns) continue;
+    if (blk.condLocal >= 0)
+      preferred[b] = chk_block(blk.nextAlt);
+    else if (blk.next >= 0)
+      preferred[b] = chk_block(blk.next);
+  }
+  std::vector<int> order;
+  order.reserve(nb);
+  std::vector<char> placed(nb, 0);
+  for (size_t seed = 0; seed < nb; seed++)
+    for (int b = static_cast<int>(seed); b >= 0 && !placed[b]; b = preferred[b]) {
+      placed[b] = 1;
+      order.push_back(b);
+    }
+
+  std::vector<int32_t> blockStart(nb, -1);
+  struct Patch {
+    size_t idx;  // code index
+    bool alt;    // patches `alt` rather than `aux`
+    int block;
+  };
+  std::vector<Patch> patches;
 
   auto emit = [&](COp op) -> CInstr& {
     cf.code.emplace_back();
     cf.code.back().op = op;
     return cf.code.back();
   };
-  auto emit_branch = [&](COp op, int block) -> CInstr& {
-    CInstr& ci = emit(op);
-    patches.emplace_back(cf.code.size() - 1, chk_block(block));
-    return ci;
+  auto patch = [&](bool alt, int block) {
+    patches.push_back({cf.code.size() - 1, alt, chk_block(block)});
   };
 
-  for (size_t b = 0; b < f.blocks.size(); b++) {
+  for (size_t k = 0; k < nb; k++) {
+    const size_t b = static_cast<size_t>(order[k]);
+    const int nextInLayout = k + 1 < nb ? order[k + 1] : -1;
     const Block& blk = f.blocks[b];
     blockStart[b] = static_cast<int32_t>(cf.code.size());
     bool returned = false;
@@ -385,11 +434,10 @@ void lower_fn(const Function& f, const std::map<std::string, CompiledFunction*>&
           break;
         }
         case Op::kBin: {
-          CInstr& ci = emit(COp::kCBin);
+          CInstr& ci = emit(bin_cop(ins.bin));
           ci.a = chk_local(ins.a);
           ci.b = chk_local(ins.b);
           ci.c = chk_local(ins.c);
-          ci.sub = static_cast<uint8_t>(ins.bin);
           break;
         }
         case Op::kRet: {
@@ -490,40 +538,35 @@ void lower_fn(const Function& f, const std::map<std::string, CompiledFunction*>&
       if (returned) break;  // the rest of the block is unreachable
     }
     if (returned) continue;
-    // Terminator. Fallthrough to the next block in layout order needs
-    // no instruction; everything else becomes an explicit branch.
-    const int fallthrough = static_cast<int>(b) + 1;
+    // Terminator. A conditional is one two-target instruction; an
+    // unconditional edge to the next block in layout needs none.
     if (blk.condLocal >= 0) {
       // Fuse a block-terminating kBin that defines the branch condition
       // with the conditional branch itself (one dispatch instead of
       // two). The fused op still stores the comparison result, so any
       // later read of the condition local sees the same value.
-      if (!cf.code.empty() &&
-          static_cast<int32_t>(cf.code.size()) > blockStart[b] &&
-          cf.code.back().op == COp::kCBin && cf.code.back().a == blk.condLocal) {
-        const CInstr bin = cf.code.back();
-        cf.code.pop_back();
-        CInstr& ci = emit_branch(COp::kCCmpBr, blk.next);
-        ci.a = bin.a;
-        ci.b = bin.b;
-        ci.c = bin.c;
-        ci.sub = bin.sub;
+      const Instr* last = blk.instrs.empty() ? nullptr : &blk.instrs.back();
+      if (last && last->op == Op::kBin && last->a == blk.condLocal) {
+        cf.code.back().op = cmp_br_cop(last->bin);  // the kBin's lowered op
       } else {
-        CInstr& ci = emit_branch(COp::kCCbr, blk.next);
-        ci.a = chk_local(blk.condLocal);
+        emit(COp::kCCbr).a = chk_local(blk.condLocal);
       }
-      if (blk.nextAlt != fallthrough) emit_branch(COp::kCBr, blk.nextAlt);
-      else chk_block(blk.nextAlt);
+      patch(false, blk.next);
+      patch(true, blk.nextAlt);
     } else if (blk.next >= 0) {
-      if (blk.next != fallthrough) emit_branch(COp::kCBr, blk.next);
-      else chk_block(blk.next);
+      if (blk.next != nextInLayout) {
+        emit(COp::kCBr);
+        patch(false, blk.next);
+      }
     } else {
       emit(COp::kCRet);  // fell off the end: implicit void return (a = -1)
     }
   }
 
-  for (const auto& [idx, blkId] : patches)
-    cf.code[idx].aux = blockStart[static_cast<size_t>(blkId)];
+  for (const Patch& p : patches)
+    (p.alt ? cf.code[p.idx].alt : cf.code[p.idx].aux) =
+        blockStart[static_cast<size_t>(p.block)];
+  thread_jumps(cf.code);
 }
 
 }  // namespace
@@ -576,13 +619,9 @@ CompiledModule compile(const Module& m) {
   }
   for (const auto& [name, f] : m.functions) lower_fn(*f, fns, *fns[name]);
 
-  // Bind handler addresses for direct threading (no-op on non-GNU
-  // builds: the token switch reads `op` instead).
   const void* const* labels = labels_table();
-  if (labels != nullptr)
-    for (auto& [name, cf] : cm.functions)
-      for (CInstr& ci : cf->code)
-        ci.handler = labels[static_cast<size_t>(ci.op)];
+  for (auto& [name, cf] : cm.functions)
+    for (CInstr& ci : cf->code) ci.handler = labels[static_cast<size_t>(ci.op)];
   return cm;
 }
 

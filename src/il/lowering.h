@@ -22,20 +22,61 @@ namespace sbd::il {
 inline constexpr int kMaxLocals = 128;
 inline constexpr int kMaxDepth = 64;
 
+// IL arithmetic is total: add/sub/mul wrap in two's complement,
+// division by 0 yields 0, INT64_MIN / -1 wraps to INT64_MIN and
+// INT64_MIN % -1 is 0 (x % -1 is 0 for every x). No operator is
+// undefined behaviour and none traps.
+namespace binop {
+inline int64_t wrap(uint64_t v) { return static_cast<int64_t>(v); }
+inline uint64_t u(int64_t v) { return static_cast<uint64_t>(v); }
+}  // namespace binop
+
+// The one list of IL binary operators: X(Name, expression over int64_t
+// l and r). Both backends are generated from it — eval_bin below for
+// the interpreter, one arithmetic and one compare-branch handler per
+// entry in compile.cpp — so operator semantics live here only. Entry
+// order must match BinOp (checked below).
+#define SBD_IL_BINOPS(X)                                               \
+  X(Add, binop::wrap(binop::u(l) + binop::u(r)))                       \
+  X(Sub, binop::wrap(binop::u(l) - binop::u(r)))                       \
+  X(Mul, binop::wrap(binop::u(l) * binop::u(r)))                       \
+  X(Div, r == 0 ? 0 : r == -1 ? binop::wrap(0 - binop::u(l)) : l / r) \
+  X(Mod, r == 0 || r == -1 ? 0 : l % r)                                \
+  X(And, l & r)                                                        \
+  X(Or, l | r)                                                         \
+  X(Xor, l ^ r)                                                        \
+  X(Lt, l < r)                                                         \
+  X(Le, l <= r)                                                        \
+  X(Eq, l == r)                                                        \
+  X(Ne, l != r)
+
+namespace binop {
+#define SBD_IL_BINOP_FN(name, expr) \
+  inline int64_t name(int64_t l, int64_t r) { return expr; }
+SBD_IL_BINOPS(SBD_IL_BINOP_FN)
+#undef SBD_IL_BINOP_FN
+
+enum class Order {
+#define SBD_IL_BINOP_ORDER(name, expr) name,
+  SBD_IL_BINOPS(SBD_IL_BINOP_ORDER)
+#undef SBD_IL_BINOP_ORDER
+  kCount
+};
+#define SBD_IL_BINOP_ORDER_CHECK(name, expr)                                   \
+  static_assert(static_cast<int>(BinOp::k##name) == static_cast<int>(Order::name), \
+                "SBD_IL_BINOPS order must match BinOp");
+SBD_IL_BINOPS(SBD_IL_BINOP_ORDER_CHECK)
+#undef SBD_IL_BINOP_ORDER_CHECK
+inline constexpr int kCount = static_cast<int>(Order::kCount);
+}  // namespace binop
+
 inline int64_t eval_bin(BinOp op, int64_t l, int64_t r) {
   switch (op) {
-    case BinOp::kAdd: return l + r;
-    case BinOp::kSub: return l - r;
-    case BinOp::kMul: return l * r;
-    case BinOp::kDiv: return r ? l / r : 0;
-    case BinOp::kMod: return r ? l % r : 0;
-    case BinOp::kAnd: return l & r;
-    case BinOp::kOr: return l | r;
-    case BinOp::kXor: return l ^ r;
-    case BinOp::kLt: return l < r;
-    case BinOp::kLe: return l <= r;
-    case BinOp::kEq: return l == r;
-    case BinOp::kNe: return l != r;
+#define SBD_IL_BINOP_CASE(name, expr) \
+  case BinOp::k##name:                \
+    return binop::name(l, r);
+    SBD_IL_BINOPS(SBD_IL_BINOP_CASE)
+#undef SBD_IL_BINOP_CASE
   }
   return 0;
 }

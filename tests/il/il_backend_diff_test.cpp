@@ -118,32 +118,57 @@ void expect_backends_agree(const Module& m, const std::string& entry, int64_t sc
 
 // --- Program generators ------------------------------------------------------
 
-// Random straight-line + diamond field programs (same shape as
-// il_differential_test, which covers optimizer-vs-plain; here the axis
-// is interp-vs-compiled).
+// Random field programs (same field shape as il_differential_test,
+// which covers optimizer-vs-plain; here the axis is interp-vs-compiled).
+// Every BinOp runs on operands seeded from the arithmetic edge cases;
+// control flow mixes parameter diamonds, compare-terminated blocks
+// (fused compare-branches), bounded top- and bottom-tested loops (jump
+// threading of back-edges), and empty and unreachable blocks (chain
+// layout).
+//   l0 object, l1 scratch param, l2..l8 values,
+//   l9 loop counter, l10 loop bound, l11 const 1, l12 loop condition.
+constexpr int64_t kEdgeOperands[] = {0, 1, -1, 2, 7, INT64_MIN, INT64_MAX};
+
+int rand_value(Rng& rng) { return 2 + static_cast<int>(rng.below(7)); }
+int rand_source(Rng& rng) { return 1 + static_cast<int>(rng.below(8)); }
+BinOp rand_binop(Rng& rng) { return static_cast<BinOp>(rng.below(binop::kCount)); }
+int64_t rand_edge(Rng& rng) {
+  return kEdgeOperands[rng.below(sizeof(kEdgeOperands) / sizeof(kEdgeOperands[0]))];
+}
+
+// One straight-line instruction over the value locals.
+void straight_op(FnBuilder& fb, Rng& rng) {
+  const int dst = rand_value(rng);
+  switch (rng.below(4)) {
+    case 0:
+      fb.cst(dst, rand_edge(rng));
+      break;
+    case 1:
+      fb.getf(dst, 0, static_cast<int>(rng.below(3)), obj_class());
+      break;
+    case 2:
+      fb.setf(0, static_cast<int>(rng.below(3)), dst, obj_class());
+      break;
+    case 3:
+      fb.bin(dst, rand_binop(rng), rand_source(rng), rand_source(rng));
+      break;
+  }
+}
+
 void generate(Module& m, Rng& rng) {
-  FnBuilder fb(m, "f", 2, 10);
+  FnBuilder fb(m, "f", 2, 13);
+  for (int l = 2; l <= 8; l++) fb.cst(l, rand_edge(rng));
+  fb.cst(11, 1);
   const int numOps = 6 + static_cast<int>(rng.below(14));
   for (int i = 0; i < numOps; i++) {
-    const int dst = 2 + static_cast<int>(rng.below(7));
-    switch (rng.below(6)) {
+    switch (rng.below(8)) {
       case 0:
-        fb.cst(dst, static_cast<int64_t>(rng.below(100)));
-        break;
       case 1:
-        fb.getf(dst, 0, static_cast<int>(rng.below(3)), obj_class());
-        break;
       case 2:
-        fb.setf(0, static_cast<int>(rng.below(3)), dst, obj_class());
+        straight_op(fb, rng);
         break;
-      case 3:
-        fb.bin(dst, BinOp::kAdd, 2 + static_cast<int>(rng.below(7)),
-               2 + static_cast<int>(rng.below(7)));
-        break;
-      case 4:
-        fb.bin(dst, BinOp::kXor, 1, 2 + static_cast<int>(rng.below(7)));
-        break;
-      case 5: {
+      case 3: {  // diamond on the scratch parameter
+        const int dst = rand_value(rng);
         const int thenB = fb.block();
         const int elseB = fb.block();
         const int merge = fb.block();
@@ -157,6 +182,75 @@ void generate(Module& m, Rng& rng) {
         fb.at(merge);
         break;
       }
+      case 4: {  // compare-terminated block; the else arm may be empty
+        const int cond = rand_value(rng);
+        const int thenB = fb.block();
+        const int elseB = fb.block();
+        const int merge = fb.block();
+        fb.bin(cond, rand_binop(rng), rand_source(rng), rand_source(rng));
+        fb.cbr(cond, thenB, elseB);
+        fb.at(thenB);
+        straight_op(fb, rng);
+        fb.br(merge);
+        fb.at(elseB);
+        if (rng.below(2)) straight_op(fb, rng);
+        fb.br(merge);
+        fb.at(merge);
+        break;
+      }
+      case 5: {  // top-tested loop, 0..3 iterations
+        const bool fused = rng.below(2) != 0;
+        const int head = fb.block();
+        const int body = fb.block();
+        const int exit = fb.block();
+        fb.cst(9, 0);
+        fb.cst(10, static_cast<int64_t>(rng.below(4)));
+        fb.br(head);
+        fb.at(head);
+        fb.bin(12, BinOp::kLt, 9, 10);
+        if (!fused) straight_op(fb, rng);  // the condition is not the last def
+        fb.cbr(12, body, exit);
+        fb.at(body);
+        straight_op(fb, rng);
+        straight_op(fb, rng);
+        fb.bin(9, BinOp::kAdd, 9, 11);
+        fb.br(head);
+        fb.at(exit);
+        break;
+      }
+      case 6: {  // bottom-tested loop through an empty latch, 1..3 iterations
+        const int body = fb.block();
+        const int latch = fb.block();
+        const int exit = fb.block();
+        fb.cst(9, 0);
+        fb.cst(10, 1 + static_cast<int64_t>(rng.below(3)));
+        fb.br(body);
+        fb.at(body);
+        straight_op(fb, rng);
+        fb.bin(9, BinOp::kAdd, 9, 11);
+        fb.bin(12, BinOp::kLt, 9, 10);
+        fb.cbr(12, latch, exit);
+        fb.at(latch);
+        fb.br(body);
+        fb.at(exit);
+        break;
+      }
+      case 7: {  // a chain of empty blocks and an unreachable block
+        const int e1 = fb.block();
+        const int dead = fb.block();
+        const int e2 = fb.block();
+        const int cont = fb.block();
+        fb.br(e1);
+        fb.at(e1);
+        fb.br(e2);
+        fb.at(dead);
+        straight_op(fb, rng);
+        fb.br(rng.below(2) ? e1 : cont);
+        fb.at(e2);
+        fb.br(cont);
+        fb.at(cont);
+        break;
+      }
     }
   }
   fb.getf(3, 0, 0, obj_class());
@@ -164,6 +258,9 @@ void generate(Module& m, Rng& rng) {
   fb.getf(5, 0, 2, obj_class());
   fb.bin(6, BinOp::kAdd, 3, 4);
   fb.bin(6, BinOp::kAdd, 6, 5);
+  fb.bin(6, BinOp::kXor, 6, 2);
+  fb.bin(6, BinOp::kAdd, 6, 7);
+  fb.bin(6, BinOp::kAdd, 6, 8);
   fb.ret(6);
 }
 
@@ -290,7 +387,8 @@ TEST_P(IlBackendDiff, CompiledIsBitIdenticalToInterp) {
   ASSERT_TRUE(verify(optimized, compute_summaries(optimized)).empty())
       << "optimized module must still pass V6 coverage";
 
-  for (int64_t scratch : {0, 1, -3, 42}) {
+  for (int64_t scratch : {int64_t{0}, int64_t{1}, int64_t{-1}, int64_t{-3}, int64_t{42},
+                          INT64_MIN, INT64_MAX}) {
     expect_backends_agree(plain, "f", scratch, 2, "plain");
     expect_backends_agree(optimized, "f", scratch, 2, "optimized");
     // And across the optimizer axis, results (not lock counts) agree.
@@ -352,6 +450,198 @@ TEST(IlBackendDirected, CallsAgreeAcrossBackends) {
   const CompiledModule co = compile(opt);
   EXPECT_EQ(run_one(m, cm, Backend::kCompiled, "main", 0, 1).result,
             run_one(opt, co, Backend::kCompiled, "main", 0, 1).result);
+}
+
+// --- Compiled code layout and arithmetic ------------------------------------
+
+static_assert(sizeof(CInstr) <= 40, "CInstr must stay within 40 bytes");
+
+int count_cops(const CompiledFunction& cf, COp op) {
+  int n = 0;
+  for (const CInstr& ci : cf.code) n += ci.op == op;
+  return n;
+}
+
+// After threading no jump lands on a kCBr, and no kCBr lands on a
+// conditional branch (it would have become a copy of it).
+void expect_threaded(const CompiledFunction& cf) {
+  for (size_t i = 0; i < cf.code.size(); i++) {
+    const CInstr& ci = cf.code[i];
+    if (ci.op == COp::kCBr) {
+      const COp t = cf.code[static_cast<size_t>(ci.aux)].op;
+      EXPECT_NE(t, COp::kCBr) << cf.name << ": kCBr at " << i << " targets a kCBr";
+      EXPECT_FALSE(is_cond_branch(t))
+          << cf.name << ": kCBr at " << i << " targets a conditional branch";
+    } else if (is_cond_branch(ci.op)) {
+      EXPECT_NE(cf.code[static_cast<size_t>(ci.aux)].op, COp::kCBr) << cf.name << " at " << i;
+      EXPECT_NE(cf.code[static_cast<size_t>(ci.alt)].op, COp::kCBr) << cf.name << " at " << i;
+    }
+  }
+}
+
+constexpr int64_t kEntryMarker = 0x5bd;
+
+// A loop whose body is a compare-terminated diamond and whose back-edge
+// runs through an empty latch: l1 = n; returns the sum over i < n of
+// (i even ? i : -1).
+void build_latch_loop(Module& m) {
+  FnBuilder fb(m, "loop", 2, 8);
+  const int head = fb.block();
+  const int body = fb.block();
+  const int even = fb.block();
+  const int odd = fb.block();
+  const int latch = fb.block();
+  const int exit = fb.block();
+  fb.cst(2, kEntryMarker);
+  fb.cst(3, 0);  // i
+  fb.cst(4, 1);  // const 1
+  fb.cst(2, 0);  // acc
+  fb.br(head);
+  fb.at(head);
+  fb.bin(5, BinOp::kLt, 3, 1);
+  fb.cbr(5, body, exit);
+  fb.at(body);
+  fb.bin(6, BinOp::kAnd, 3, 4);
+  fb.cbr(6, odd, even);
+  fb.at(even);
+  fb.bin(2, BinOp::kAdd, 2, 3);
+  fb.bin(3, BinOp::kAdd, 3, 4);
+  fb.br(latch);
+  fb.at(odd);
+  fb.bin(2, BinOp::kSub, 2, 4);
+  fb.bin(3, BinOp::kAdd, 3, 4);
+  fb.br(latch);
+  fb.at(latch);
+  fb.br(head);
+  fb.at(exit);
+  fb.ret(2);
+}
+
+// Three paths to one exit block, one of them through an empty block
+// laid out away from both its source and its target, so a kCBr first
+// lands on a kCBr. l1 < 0 -> 1471, l1 == 0 -> 1470, l1 > 0 -> 1475.
+void build_jump_chain(Module& m) {
+  FnBuilder fb(m, "chain", 2, 6);
+  const int mid = fb.block();
+  const int viaB = fb.block();
+  const int exit = fb.block();
+  const int viaA = fb.block();
+  const int join = fb.block();
+  const int viaC = fb.block();
+  fb.cst(2, kEntryMarker);
+  fb.cst(3, 1);
+  fb.cst(5, 0);
+  fb.bin(4, BinOp::kLt, 1, 5);
+  fb.cbr(4, viaA, mid);
+  fb.at(mid);
+  fb.cbr(1, viaC, viaB);
+  fb.at(viaB);
+  fb.br(exit);
+  fb.at(exit);
+  fb.bin(2, BinOp::kAdd, 2, 3);
+  fb.ret(2);
+  fb.at(viaA);
+  fb.bin(3, BinOp::kAdd, 3, 3);
+  fb.br(join);
+  fb.at(join);
+  fb.br(exit);
+  fb.at(viaC);
+  fb.bin(3, BinOp::kAdd, 3, 1);
+  fb.br(join);
+}
+
+TEST(IlCompiledLayout, EntryFirstAndJumpsThreaded) {
+  Module m;
+  build_latch_loop(m);
+  build_jump_chain(m);
+  ASSERT_TRUE(verify(m).empty());
+  const CompiledModule cm = compile(m);
+  for (const char* fn : {"loop", "chain"}) {
+    const CompiledFunction& cf = *cm.get(fn);
+    ASSERT_FALSE(cf.code.empty());
+    EXPECT_EQ(cf.code[0].op, COp::kCConst) << fn << ": code index 0 must be block 0's";
+    EXPECT_EQ(cf.code[0].imm, kEntryMarker) << fn;
+    expect_threaded(cf);
+  }
+
+  // Both loop back-edges (the empty latch and the jump into it) became
+  // copies of the loop's compare-branch: no kCBr is left at all, and
+  // every compare feeding a branch is fused per operator.
+  const CompiledFunction& loop = *cm.get("loop");
+  EXPECT_EQ(count_cops(loop, COp::kCBr), 0);
+  EXPECT_EQ(count_cops(loop, COp::kCCmpBrLt), 3);
+  EXPECT_EQ(count_cops(loop, COp::kCCmpBrAnd), 1);
+  EXPECT_EQ(count_cops(loop, COp::kCCbr), 0);
+
+  // The jump out of viaC went through `join` (itself a kCBr) and now
+  // lands on the exit block's add directly.
+  // The entry block's false edge is its layout successor.
+  const CompiledFunction& chain = *cm.get("chain");
+  for (size_t i = 0; i < chain.code.size(); i++) {
+    if (chain.code[i].op == COp::kCCmpBrLt) {
+      EXPECT_EQ(chain.code[i].alt, static_cast<int32_t>(i + 1));
+    }
+  }
+  EXPECT_EQ(count_cops(chain, COp::kCCbr), 1);
+  EXPECT_EQ(count_cops(chain, COp::kCCmpBrLt), 1);
+  EXPECT_EQ(count_cops(chain, COp::kCBr), 2);
+  const CInstr& last = chain.code.back();
+  ASSERT_EQ(last.op, COp::kCBr);
+  EXPECT_EQ(chain.code[static_cast<size_t>(last.aux)].op, COp::kCBinAdd);
+
+  for (int64_t n : {0, 1, 5, 8}) expect_backends_agree(m, "loop", n, 2, "loop");
+  EXPECT_EQ(run_one(m, cm, Backend::kCompiled, "loop", 5, 2).result, 4);
+  for (int64_t s : {-3, 0, 5}) expect_backends_agree(m, "chain", s, 2, "chain");
+  EXPECT_EQ(run_one(m, cm, Backend::kCompiled, "chain", -3, 2).result, 1471);
+  EXPECT_EQ(run_one(m, cm, Backend::kCompiled, "chain", 0, 2).result, 1470);
+  EXPECT_EQ(run_one(m, cm, Backend::kCompiled, "chain", 5, 2).result, 1475);
+}
+
+// IL arithmetic is total and wraps: no operand pair traps or is UB.
+// Each case runs as a plain kBin ("plain") and fused into a
+// compare-branch ("fused") on both backends.
+TEST(IlBackendArithmetic, EdgeOperandsWrapOnBothBackends) {
+  struct Case {
+    BinOp op;
+    int64_t l, r, want;
+  };
+  const Case cases[] = {
+      {BinOp::kDiv, INT64_MIN, -1, INT64_MIN}, {BinOp::kMod, INT64_MIN, -1, 0},
+      {BinOp::kDiv, 7, 0, 0},                  {BinOp::kMod, 7, 0, 0},
+      {BinOp::kDiv, -7, 2, -3},                {BinOp::kMod, -7, 2, -1},
+      {BinOp::kDiv, INT64_MAX, -1, -INT64_MAX}, {BinOp::kMod, 5, -1, 0},
+      {BinOp::kAdd, INT64_MAX, 1, INT64_MIN},  {BinOp::kSub, INT64_MIN, 1, INT64_MAX},
+      {BinOp::kMul, INT64_MIN, -1, INT64_MIN}, {BinOp::kMul, INT64_MAX, 2, -2},
+      {BinOp::kLt, INT64_MIN, INT64_MAX, 1},   {BinOp::kNe, -1, -1, 0},
+  };
+  for (const Case& c : cases) {
+    Module m;
+    {
+      FnBuilder fb(m, "plain", 2, 4);
+      fb.cst(2, c.l);
+      fb.bin(3, c.op, 2, 1);
+      fb.ret(3);
+    }
+    {
+      FnBuilder fb(m, "fused", 2, 4);
+      const int t = fb.block();
+      const int e = fb.block();
+      fb.cst(2, c.l);
+      fb.bin(3, c.op, 2, 1);
+      fb.cbr(3, t, e);
+      fb.at(t);
+      fb.ret(3);
+      fb.at(e);
+      fb.ret(3);
+    }
+    ASSERT_TRUE(verify(m).empty());
+    const CompiledModule cm = compile(m);
+    for (const char* fn : {"plain", "fused"})
+      for (Backend be : {Backend::kInterp, Backend::kCompiled})
+        EXPECT_EQ(run_one(m, cm, be, fn, c.r, 2).result, c.want)
+            << fn << " op=" << static_cast<int>(c.op) << " l=" << c.l << " r=" << c.r
+            << (be == Backend::kCompiled ? " compiled" : " interp");
+  }
 }
 
 // --- Interprocedural elimination unit tests ---------------------------------
