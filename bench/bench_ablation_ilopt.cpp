@@ -15,7 +15,6 @@
 #include "il/compile.h"
 #include "il/interp.h"
 #include "il/opt.h"
-#include "il/summary.h"
 #include "il/transform.h"
 #include "runtime/heap.h"
 
@@ -81,15 +80,6 @@ int main() {
   std::vector<Variant> variants = {
       {"unoptimized", [](il::Module&) {}},
       {"O1 eliminate", [](il::Module& m) { il::eliminate_redundant_locks(m); }},
-      // O1 with call-graph summaries. The `scale` callee is pure, so the
-      // summary's contribution here is keeping facts alive across the
-      // call rather than exporting exit locks (bench_table7_lockops
-      // measures the exported-coverage case).
-      {"O1+interproc",
-       [](il::Module& m) {
-         const il::Summaries sums = il::compute_summaries(m);
-         il::eliminate_redundant_locks(m, &sums);
-       }},
       {"O2 hoist", [](il::Module& m) { il::hoist_loop_locks(m); }},
       {"O3 inline+O1",
        [](il::Module& m) {

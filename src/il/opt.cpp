@@ -12,13 +12,15 @@ namespace sbd::il {
 // O1: redundant-lock elimination
 // ---------------------------------------------------------------------------
 // The must-locked dataflow itself (LockState/transfer/solve_must_locked)
-// lives in summary.cpp, shared with the verifier and the summary
-// builder; this pass only adds the rewrite.
+// lives in summary.cpp, shared with the verifier; this pass only adds
+// the rewrite.
 
-OptStats eliminate_redundant_locks(Function& f, const Module& m,
-                                   const Summaries* sums) {
-  OptStats stats;
-  const auto in = solve_must_locked(f, m, sums);
+namespace {
+
+// Returns the number of kLocks removed from `f`.
+int eliminate_in(Function& f, const MaySplit& ms) {
+  int eliminated = 0;
+  const auto in = solve_must_locked(f, ms);
 
   // Rewrite: drop covered locks. Instructions after a kRet in the same
   // block are unreachable — copied verbatim, never eliminated (the
@@ -35,35 +37,30 @@ OptStats eliminate_redundant_locks(Function& f, const Module& m,
         continue;
       }
       if (i.op == Op::kRet) returned = true;
-      // Attribution must be read before transfer() consumes the state.
-      bool viaCall = false;
-      if (i.op == Op::kLock) {
-        const bool isElem = i.c >= 0;
-        viaCall = st.covered_by_call(i.a, isElem ? i.c : i.b, isElem, i.cls,
-                                     mapped_lock_index(i));
-      }
       bool kill = false;
-      transfer(st, i, m, sums, &kill);
+      transfer(st, i, ms, &kill);
       if (kill && i.op == Op::kLock) {
-        stats.locksEliminated++;
-        if (viaCall) stats.crossCallEliminated++;
+        eliminated++;
         continue;
       }
       kept.push_back(i);
     }
     f.blocks[b].instrs = std::move(kept);
   }
-  return stats;
+  return eliminated;
 }
 
-OptStats eliminate_redundant_locks(Module& m, const Summaries* sums) {
+}  // namespace
+
+OptStats eliminate_redundant_locks(Module& m, const MaySplit& ms) {
   OptStats total;
-  for (auto& [name, f] : m.functions) {
-    OptStats s = eliminate_redundant_locks(*f, m, sums);
-    total.locksEliminated += s.locksEliminated;
-    total.crossCallEliminated += s.crossCallEliminated;
-  }
+  for (auto& [name, f] : m.functions)
+    total.locksEliminated += eliminate_in(*f, ms);
   return total;
+}
+
+OptStats eliminate_redundant_locks(Module& m) {
+  return eliminate_redundant_locks(m, compute_summaries(m));
 }
 
 // ---------------------------------------------------------------------------
@@ -162,19 +159,18 @@ bool fn_may_lock(const Function* f, const Module& m,
   return may;
 }
 
-bool loop_may_split(const Function& f, const std::set<int>& loop, const Module& m) {
+bool loop_may_split(const Function& f, const std::set<int>& loop, const MaySplit& ms) {
   for (int b : loop)
     for (const Instr& i : f.blocks[static_cast<size_t>(b)].instrs) {
       if (i.op == Op::kSplit) return true;
-      if (i.op == Op::kCall && call_may_split(i, m)) return true;
+      if (i.op == Op::kCall && may_split(ms, i.calleeName)) return true;
     }
   return false;
 }
 
-}  // namespace
-
-OptStats hoist_loop_locks(Function& f, const Module& m) {
-  OptStats stats;
+// Returns the number of kLocks hoisted out of `f`'s loops.
+int hoist_in(Function& f, const Module& m, const MaySplit& ms) {
+  int hoisted = 0;
   auto dom = dominators(f);
   const int n = static_cast<int>(f.blocks.size());
   auto preds = predecessors(f);
@@ -187,7 +183,7 @@ OptStats hoist_loop_locks(Function& f, const Module& m) {
     for (int head : succs) {
       if (!dom[static_cast<size_t>(tail)].count(head)) continue;  // not a back edge
       auto loop = natural_loop(f, tail, head);
-      if (loop_may_split(f, loop, m)) continue;
+      if (loop_may_split(f, loop, ms)) continue;
 
       // Preheader: the unique out-of-loop predecessor of the header with
       // an unconditional fallthrough into it.
@@ -234,20 +230,21 @@ OptStats hoist_loop_locks(Function& f, const Module& m) {
       for (size_t k : hoistIdx) pbm.instrs.push_back(hb.instrs[k]);
       for (auto it = hoistIdx.rbegin(); it != hoistIdx.rend(); ++it)
         hb.instrs.erase(hb.instrs.begin() + static_cast<long>(*it));
-      stats.locksHoisted += static_cast<int>(hoistIdx.size());
+      hoisted += static_cast<int>(hoistIdx.size());
     }
   }
-  return stats;
+  return hoisted;
 }
 
-OptStats hoist_loop_locks(Module& m) {
+}  // namespace
+
+OptStats hoist_loop_locks(Module& m, const MaySplit& ms) {
   OptStats total;
-  for (auto& [name, f] : m.functions) {
-    OptStats s = hoist_loop_locks(*f, m);
-    total.locksHoisted += s.locksHoisted;
-  }
+  for (auto& [name, f] : m.functions) total.locksHoisted += hoist_in(*f, m, ms);
   return total;
 }
+
+OptStats hoist_loop_locks(Module& m) { return hoist_loop_locks(m, compute_summaries(m)); }
 
 // ---------------------------------------------------------------------------
 // O3: inlining
@@ -412,27 +409,20 @@ OptStats inline_small(Module& m, int maxCalleeInstrs) {
 // The pipeline
 // ---------------------------------------------------------------------------
 
-OptStats optimize(Module& m, bool interproc, bool inlineSmall) {
-  OptStats total = inlineSmall ? inline_small(m) : OptStats{};
-  // O1 and O2 feed each other (a hoisted lock dominates the loop body;
-  // an eliminated lock shrinks a callee and sharpens its summary), so
-  // iterate the pair to a fixed point instead of the old hard-coded
-  // O1,O2,O1 sequence. Termination: each round either removes a kLock
-  // (finite supply) or moves one strictly outward (bounded nesting);
-  // a round that does neither is the last.
+OptStats optimize(Module& m) {
+  OptStats total = inline_small(m);
+  const MaySplit ms = compute_summaries(m);
+  // O1 and O2 feed each other (a hoisted lock dominates the loop body
+  // and covers re-locks after it), so iterate the pair to a fixed
+  // point. Termination: each round either removes a kLock (finite
+  // supply) or moves one strictly outward (bounded nesting); a round
+  // that does neither is the last.
   bool changed = true;
   while (changed) {
     total.rounds++;
-    Summaries sums;
-    const Summaries* sp = nullptr;
-    if (interproc) {
-      sums = compute_summaries(m);
-      sp = &sums;
-    }
-    const OptStats e = eliminate_redundant_locks(m, sp);
-    const OptStats h = hoist_loop_locks(m);
+    const OptStats e = eliminate_redundant_locks(m, ms);
+    const OptStats h = hoist_loop_locks(m, ms);
     total.locksEliminated += e.locksEliminated;
-    total.crossCallEliminated += e.crossCallEliminated;
     total.locksHoisted += h.locksHoisted;
     changed = e.locksEliminated > 0 || h.locksHoisted > 0;
   }

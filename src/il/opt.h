@@ -1,16 +1,12 @@
-// The paper's three intraprocedural compile-time optimizations (§3.3)
-// plus the summary-based interprocedural extension of O1:
+// The paper's three intraprocedural compile-time optimizations (§3.3):
 //
 //   O1  Redundant-lock elimination: a Lock(base.field, mode) is removed
 //       when every control-flow path to it already established a lock
 //       of sufficient mode on the same location (must-locked forward
 //       dataflow, intersection at merges). The analysis exploits the
-//       canSplit property: calls to functions *without* canSplit cannot
-//       split the section, so held locks survive them. With summaries
-//       (summary.h) it goes further: facts survive any callee that
-//       provably never splits, and a callee's must-held exit locks
-//       become read coverage on the caller's argument locals —
-//       eliminating covered re-locks *across* call boundaries.
+//       canSplit property, read from the code as the per-function
+//       maySplit fact (summary.h): held locks survive a call to a
+//       callee that cannot split the section.
 //   O2  Loop hoisting: a Lock in a loop whose base local is loop-
 //       invariant moves to the preheader when the loop cannot split
 //       (locking order is preserved because the hoisted lock is still
@@ -30,8 +26,7 @@ namespace sbd::il {
 
 struct OptStats {
   int locksEliminated = 0;
-  // Subset of locksEliminated whose coverage arrived through a callee
-  // LockSummary — the interprocedural pass's contribution.
+  // Always 0; kept only because perfbench reads it.
   int crossCallEliminated = 0;
   int locksHoisted = 0;
   int callsInlined = 0;
@@ -43,25 +38,17 @@ struct OptStats {
 // O3 — run first so O1/O2 see the widened scope.
 OptStats inline_small(Module& m, int maxCalleeInstrs = 24);
 
-// O1. With `sums` (from compute_summaries), kCall keeps facts across
-// provably non-splitting callees and imports their exit locks as read
-// coverage; without, every canSplit-or-unknown call clears the state.
-OptStats eliminate_redundant_locks(Module& m, const Summaries* sums = nullptr);
-OptStats eliminate_redundant_locks(Function& f, const Module& m,
-                                   const Summaries* sums = nullptr);
-
-// O2.
+// O1 and O2. `ms` is compute_summaries(m); the one-argument forms
+// compute it themselves.
+OptStats eliminate_redundant_locks(Module& m, const MaySplit& ms);
+OptStats eliminate_redundant_locks(Module& m);
+OptStats hoist_loop_locks(Module& m, const MaySplit& ms);
 OptStats hoist_loop_locks(Module& m);
-OptStats hoist_loop_locks(Function& f, const Module& m);
 
 // The full pipeline: O3 once, then O1+O2 iterated to a fixed point
-// (hoisting exposes elimination and vice versa), recomputing call-graph
-// summaries each round when `interproc` is set.
-// `inlineSmall = false` skips O3 — used where call boundaries must be
-// preserved so lock-optimization effects can be attributed cleanly
-// (bench_table7_lockops measures O1/interproc deltas, and inlining a
-// callee would convert its cross-call eliminations into intraprocedural
-// ones while also changing dispatch cost).
-OptStats optimize(Module& m, bool interproc = true, bool inlineSmall = true);
+// (hoisting exposes elimination and vice versa). Neither O1 nor O2 adds
+// or removes a split or a call, so maySplit is computed once, after
+// inlining.
+OptStats optimize(Module& m);
 
 }  // namespace sbd::il

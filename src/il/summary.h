@@ -1,29 +1,19 @@
-// Interprocedural lock summaries and the shared must-locked dataflow.
+// The shared must-locked dataflow and the one per-function call fact,
+// maySplit.
 //
-// A LockSummary is the per-function fact base the paper's O1 pass was
-// missing at call boundaries: "on every path to every return, this
-// function holds a lock of mode M on word W of parameter P, and no
-// split can follow that acquisition". Summaries are computed bottom-up
-// over the SCCs of the call graph (callees before callers, in the
-// Locksynth style of deriving per-callee synchronization obligations);
-// recursive or mutually-recursive functions get the conservative top
-// element (no facts, may split).
-//
-// Soundness hinges on two SBD properties (docs/SEMANTICS.md):
-//   1. Locks are released only when the section ends (split/commit).
-//      A lock that is must-held at a callee's exit — computed with
-//      kSplit clearing all facts, so surviving facts were re-acquired
-//      AFTER any split on every path — is therefore still held in the
-//      caller when the call returns.
-//   2. Only READ coverage is exported to callers. Eliminating a write
-//      lock would also eliminate its undo logging, and under coarse
-//      LockMaps an owned write re-hit must re-log the specific slot;
-//      a callee's summary cannot guarantee that for the caller's slot.
+// O1's knowledge about calls is the paper's canSplit property, sharpened
+// from the modifier to the code: a function may split if it contains a
+// kSplit or calls an unknown or maySplit callee (a monotone fixpoint
+// over the module, so recursion without a split is not maySplit). Locks
+// are released only at split or commit (docs/SEMANTICS.md "Lock facts
+// across calls"), so every must-held fact survives a call to a
+// non-maySplit callee; a maySplit callee clears them all. Nothing is
+// imported from callees.
 //
 // The must-locked dataflow (LockState/transfer/solve_must_locked) is
-// shared verbatim by O1 (opt.cpp), the verifier's no-lock-coverage
-// check (verify.cpp), and summary construction itself, so the three
-// can never drift apart on what "covered" means.
+// shared verbatim by O1 and O2 (opt.cpp) and the verifier's no-lock
+// coverage check (verify.cpp), so they can never drift apart on what
+// "covered" means.
 #pragma once
 
 #include <map>
@@ -35,58 +25,15 @@
 
 namespace sbd::il {
 
-// One callee-side obligation: the callee must-locks `loc` of parameter
-// `param` (both callee parameter indices for the element form) in
-// `mode` on every path to every return, after any split. Parameters
-// named here are stable: never reassigned inside the callee.
-struct SummaryFact {
-  int param = -1;  // base object: callee parameter index
-  int loc = -1;    // field index, or — when isElem — the parameter index of the
-                   // element-index local (also stable)
-  bool isElem = false;
-  LockMode mode = LockMode::kRead;
+// Function name -> whether calling it may end the section. A callee
+// absent from the map is unknown and may split.
+using MaySplit = std::map<std::string, bool>;
 
-  bool operator<(const SummaryFact& o) const {
-    if (param != o.param) return param < o.param;
-    if (loc != o.loc) return loc < o.loc;
-    if (isElem != o.isElem) return isElem < o.isElem;
-    return mode < o.mode;
-  }
-};
+// The maySplit fixpoint over every function of `m`.
+MaySplit compute_summaries(const Module& m);
 
-// The LockMap-mapped form: the callee must-holds the lock WORD that
-// `cls`'s (static) map assigns to `lockIdx` of parameter `param`.
-struct MappedSummaryFact {
-  int param = -1;
-  uint32_t lockIdx = 0;
-  bool write = false;
-  runtime::ClassInfo* cls = nullptr;
-
-  bool operator<(const MappedSummaryFact& o) const {
-    if (param != o.param) return param < o.param;
-    if (lockIdx != o.lockIdx) return lockIdx < o.lockIdx;
-    if (write != o.write) return write < o.write;
-    return cls < o.cls;
-  }
-};
-
-struct LockSummary {
-  bool top = true;       // unknown effects: recursion, SCC member, absent callee
-  bool maySplit = true;  // may end the section, releasing every held lock
-  bool returnsNew = false;  // every return yields a this-transaction-new object
-  std::vector<SummaryFact> exitLocks;        // sorted; empty when top
-  std::vector<MappedSummaryFact> exitMapped;  // sorted; empty when top
-};
-
-// Keyed by function name (the call instruction's `calleeName`).
-using Summaries = std::map<std::string, LockSummary>;
-
-// Bottom-up SCC traversal; O(total instructions) per function visit.
-Summaries compute_summaries(const Module& m);
-
-// Human-readable dumps (sbdil --dump-summaries, CI failure artifacts).
-std::string to_string(const LockSummary& s);
-std::string dump_summaries(const Module& m, const Summaries& s);
+// Whether a kCall to `callee` may end the section.
+bool may_split(const MaySplit& ms, const std::string& callee);
 
 // --- Shared must-locked dataflow -------------------------------------------
 
@@ -122,16 +69,11 @@ struct MappedFact {
 bool map_is_static(const runtime::ClassInfo* cls);
 
 // The must-locked lattice element flowing through one program point.
-// `callFacts`/`callMapped` track which facts arrived via a callee
-// summary — provenance for the interprocedural-elimination statistics
-// only; they never affect coverage decisions.
 struct LockState {
   bool top = true;  // "unvisited": identity of the intersection meet
   std::set<uint64_t> facts;
   std::set<MappedFact> mapped;
   std::set<int> newLocals;  // locals known to hold this-transaction-new objects
-  std::set<uint64_t> callFacts;
-  std::set<MappedFact> callMapped;
 
   bool meet(const LockState& other);  // returns true if changed
   void kill_local(int l);
@@ -140,42 +82,24 @@ struct LockState {
   // Read coverage through the LockMap: a held word — read- or
   // write-locked — covers any read it protects.
   bool covers_mapped(int base, uint32_t lockIdx, const runtime::ClassInfo* cls) const;
-  // Whether the covering fact(s) for this location came from a callee
-  // summary (for OptStats::crossCallEliminated attribution).
-  bool covered_by_call(int base, int fieldOrIdx, bool isElem,
-                       const runtime::ClassInfo* cls, int mappedIdx) const;
 
   bool operator==(const LockState& o) const {
     return top == o.top && facts == o.facts && mapped == o.mapped &&
-           newLocals == o.newLocals && callFacts == o.callFacts &&
-           callMapped == o.callMapped;
+           newLocals == o.newLocals;
   }
 };
 
 uint64_t fact_key(int base, int fieldOrIdx, bool isElem, LockMode mode);
 
-// The statically-determined mapped lock index of a kLock, or -1 when
-// the class is unknown, its map may still change, or the element index
-// is dynamic under a non-object map.
-int mapped_lock_index(const Instr& i);
-
-// Applies one instruction's transfer function. With `sums`, kCall uses
-// the callee's LockSummary (facts survive non-splitting callees, and
-// the callee's exit locks are translated onto the caller's argument
-// locals as read coverage); without, kCall is handled with the
-// intraprocedural canSplit approximation only. `coveredLock` is set for
-// kLock instructions whose location is already covered.
-void transfer(LockState& st, const Instr& i, const Module& m, const Summaries* sums,
-              bool* coveredLock);
+// Applies one instruction's transfer function: a kCall clears the state
+// when the callee may split and otherwise keeps every fact (minus those
+// on the overwritten destination). `coveredLock` is set for kLock
+// instructions whose location is already covered.
+void transfer(LockState& st, const Instr& i, const MaySplit& ms, bool* coveredLock);
 
 // Solves the forward must-locked dataflow and returns the block-entry
 // states (in[0] is the entry block's, never top). Walk each block with
 // transfer() to reconstruct intermediate points.
-std::vector<LockState> solve_must_locked(const Function& f, const Module& m,
-                                         const Summaries* sums);
-
-// Intraprocedural approximation used when no summaries are available:
-// unknown or canSplit callees may split the section.
-bool call_may_split(const Instr& i, const Module& m);
+std::vector<LockState> solve_must_locked(const Function& f, const MaySplit& ms);
 
 }  // namespace sbd::il

@@ -23,11 +23,11 @@ void check_local(const Function& f, int idx, bool allowNeg, const std::string& w
 // kLock coverage logic on a synthetic probe, so the verifier accepts
 // exactly the coverage the optimizer would have used to eliminate the
 // access's lock — the two can never disagree.
-void verify_coverage(const Module& m, const Summaries& sums,
+void verify_coverage(const Module& m, const MaySplit& ms,
                      std::vector<std::string>& diags) {
   for (const auto& [name, fptr] : m.functions) {
     const Function& f = *fptr;
-    const auto in = solve_must_locked(f, m, &sums);
+    const auto in = solve_must_locked(f, ms);
     for (size_t b = 0; b < f.blocks.size(); b++) {
       if (in[b].top) continue;  // unreachable
       LockState st = in[b];
@@ -43,7 +43,7 @@ void verify_coverage(const Module& m, const Summaries& sums,
         probe.cls = cls;
         LockState copy = st;
         bool cov = false;
-        transfer(copy, probe, m, &sums, &cov);
+        transfer(copy, probe, ms, &cov);
         return cov;
       };
       auto diag = [&](size_t blk, const char* what) {
@@ -61,8 +61,7 @@ void verify_coverage(const Module& m, const Summaries& sums,
             break;
           case Op::kSetFNl:
             // Write coverage demands an exact write-mode fact (or a
-            // this-transaction-new base): read facts — including every
-            // fact imported from a callee summary — are a mode
+            // this-transaction-new base): a read fact is a mode
             // mismatch, because the write's undo logging rides on the
             // eliminated lock.
             if (!covered(i.a, i.b, false, LockMode::kWrite, i.cls))
@@ -80,7 +79,7 @@ void verify_coverage(const Module& m, const Summaries& sums,
             break;
         }
         if (i.op == Op::kRet) break;  // the rest of the block is unreachable
-        transfer(st, i, m, &sums, nullptr);
+        transfer(st, i, ms, nullptr);
       }
     }
   }
@@ -190,11 +189,11 @@ std::vector<std::string> verify(const Module& m) {
   return diags;
 }
 
-std::vector<std::string> verify(const Module& m, const Summaries& sums) {
+std::vector<std::string> verify(const Module& m, const MaySplit& ms) {
   std::vector<std::string> diags = verify(m);
   // The dataflow indexes blocks and locals the structural pass
   // validates; only run it on structurally sound modules.
-  if (diags.empty()) verify_coverage(m, sums, diags);
+  if (diags.empty()) verify_coverage(m, ms, diags);
   return diags;
 }
 

@@ -11,9 +11,12 @@ namespace sbd::runtime {
 
 namespace {
 std::mutex gClassMu;
+// Leaked on purpose, like the ClassInfos it lists: a static vector
+// would be destroyed at exit, leaving every ClassInfo unreachable, and
+// LeakSanitizer reports each as a direct leak.
 std::vector<ClassInfo*>& class_list() {
-  static std::vector<ClassInfo*> list;
-  return list;
+  static auto* list = new std::vector<ClassInfo*>();
+  return *list;
 }
 }  // namespace
 

@@ -7,10 +7,9 @@
 // once per process), so bit-identity holds under field, striped,
 // object, adaptive, and versioned maps.
 //
-// Also the home of the interprocedural-elimination unit tests
-// (compute_summaries, crossCallEliminated, optimize() fixpoint) and the
-// verifier negative fixtures (V5 call checks, V6 coverage / lock-mode
-// mismatch against callee summaries).
+// Also the home of the maySplit unit tests (compute_summaries, O1
+// across calls, optimize() fixpoint) and the verifier negative fixtures
+// (V5 call checks, V6 coverage / lock-mode mismatch).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -331,12 +330,12 @@ void build_array_fn(Module& m) {
   fb.ret(6);
 }
 
-// Caller/callee pair for the interprocedural pass: `reader` must-locks
-// f0 and f1 of its parameter on every path to its return; `main`
-// re-reads both after the call, so O1+summaries can drop both of its
-// locks. The callee is padded past the inline threshold so O3 cannot
-// turn the cross-call case into an intraprocedural one.
-void build_interproc(Module& m) {
+// Caller/callee pair: `reader` locks f0 and f1 of its parameter; `main`
+// reads f0 before the call and f0, f1 after it. reader never splits, so
+// main's own f0 fact survives the call and O1 drops main's re-lock of
+// f0; reader's locks are not visible to main. The callee is padded past
+// the inline threshold so O3 keeps the call.
+void build_cross_call(Module& m) {
   {
     FnBuilder fb(m, "reader", 1, 6);
     for (int k = 0; k < 26; k++) fb.cst(1, k);
@@ -347,11 +346,13 @@ void build_interproc(Module& m) {
   }
   {
     FnBuilder fb(m, "main", 1, 6);
+    fb.getf(5, 0, 0, obj_class());
     fb.call(1, "reader", {0});
     fb.getf(2, 0, 0, obj_class());
     fb.getf(3, 0, 1, obj_class());
     fb.bin(4, BinOp::kAdd, 1, 2);
     fb.bin(4, BinOp::kAdd, 4, 3);
+    fb.bin(4, BinOp::kAdd, 4, 5);
     fb.ret(4);
   }
 }
@@ -437,15 +438,15 @@ TEST(IlBackendDirected, ArrayProgramAgreesAcrossBackends) {
 
 TEST(IlBackendDirected, CallsAgreeAcrossBackends) {
   Module m;
-  build_interproc(m);
+  build_cross_call(m);
   insert_locks(m);
   ASSERT_TRUE(verify(m).empty());
-  expect_backends_agree(m, "main", 0, 1, "interproc-plain");
+  expect_backends_agree(m, "main", 0, 1, "calls-plain");
   Module opt;
-  build_interproc(opt);
+  build_cross_call(opt);
   insert_locks(opt);
   optimize(opt);
-  expect_backends_agree(opt, "main", 0, 1, "interproc-opt");
+  expect_backends_agree(opt, "main", 0, 1, "calls-opt");
   const CompiledModule cm = compile(m);
   const CompiledModule co = compile(opt);
   EXPECT_EQ(run_one(m, cm, Backend::kCompiled, "main", 0, 1).result,
@@ -644,89 +645,96 @@ TEST(IlBackendArithmetic, EdgeOperandsWrapOnBothBackends) {
   }
 }
 
-// --- Interprocedural elimination unit tests ---------------------------------
+// --- maySplit and O1 across calls -----------------------------------------
 
-TEST(IlSummaries, CalleeExitLocksComputed) {
+TEST(IlMaySplit, SelfRecursionWithoutSplitIsFalse) {
   Module m;
-  build_interproc(m);
-  insert_locks(m);
-  const Summaries sums = compute_summaries(m);
-  ASSERT_TRUE(sums.count("reader"));
-  const LockSummary& s = sums.at("reader");
-  EXPECT_FALSE(s.top);
-  EXPECT_FALSE(s.maySplit);
-  EXPECT_FALSE(s.returnsNew);
-  EXPECT_FALSE(s.exitLocks.empty() && s.exitMapped.empty())
-      << "reader must-locks f0/f1 of its parameter at exit";
-  const std::string dump = dump_summaries(m, sums);
-  EXPECT_NE(dump.find("reader"), std::string::npos);
+  FnBuilder fb(m, "rec", 1, 3);
+  fb.call(1, "rec", {0});
+  fb.ret(1);
+  const MaySplit ms = compute_summaries(m);
+  EXPECT_FALSE(ms.at("rec")) << "a cycle with no split cannot end the section";
 }
 
-TEST(IlSummaries, RecursionIsTopAndSplitIsMaySplit) {
+TEST(IlMaySplit, CallerOfSplittingCalleeIsTrue) {
   Module m;
   {
-    FnBuilder fb(m, "rec", 1, 3);
-    fb.call(1, "rec", {0});
-    fb.ret(1);
+    FnBuilder fb(m, "splitter", 0, 1);
+    fb.can_split();
+    fb.split();
+    fb.ret();
   }
   {
-    FnBuilder fb(m, "splitter", 1, 3);
+    FnBuilder fb(m, "caller", 0, 1);
+    fb.can_split();
+    fb.call(-1, "splitter", {}, /*allowSplit=*/true);
+    fb.ret();
+  }
+  {
+    FnBuilder fb(m, "outer", 0, 1);
+    fb.can_split();
+    fb.call(-1, "caller", {}, /*allowSplit=*/true);
+    fb.ret();
+  }
+  ASSERT_TRUE(verify(m).empty());
+  const MaySplit ms = compute_summaries(m);
+  EXPECT_TRUE(ms.at("splitter"));
+  EXPECT_TRUE(ms.at("caller"));
+  EXPECT_TRUE(ms.at("outer")) << "maySplit is transitive";
+}
+
+TEST(IlMaySplit, UnknownCalleeIsTrue) {
+  Module m;
+  FnBuilder fb(m, "caller", 1, 3);
+  fb.call(1, "nope", {0});
+  fb.ret(1);
+  const MaySplit ms = compute_summaries(m);
+  EXPECT_TRUE(ms.at("caller"));
+  EXPECT_TRUE(may_split(ms, "nope")) << "a callee absent from the map may split";
+}
+
+TEST(IlMaySplit, O1KeepsFactsAcrossNonSplittingCallees) {
+  // Both callees are canSplit; only `splits` actually splits. Each
+  // caller reads f0, calls, and reads f0 again: the re-lock is covered
+  // across `quiet` and not across `splits`.
+  Module m;
+  {
+    FnBuilder fb(m, "quiet", 0, 1);
+    fb.can_split();
+    fb.ret();
+  }
+  {
+    FnBuilder fb(m, "splits", 0, 1);
+    fb.can_split();
+    fb.split();
+    fb.ret();
+  }
+  for (const char* callee : {"quiet", "splits"}) {
+    FnBuilder fb(m, std::string("via_") + callee, 1, 4);
     fb.can_split();
     fb.getf(1, 0, 0, obj_class());
-    fb.split();
-    fb.ret(1);
+    fb.call(-1, callee, {}, /*allowSplit=*/true);
+    fb.getf(2, 0, 0, obj_class());
+    fb.bin(3, BinOp::kAdd, 1, 2);
+    fb.ret(3);
   }
   insert_locks(m);
-  const Summaries sums = compute_summaries(m);
-  EXPECT_TRUE(sums.at("rec").top) << "self-recursion must be conservative top";
-  EXPECT_TRUE(sums.at("splitter").maySplit);
-  EXPECT_FALSE(sums.at("splitter").top)
-      << "maySplit is a separate dimension from top";
-}
-
-TEST(IlSummaries, ReturnsNewTracked) {
-  Module m;
-  FnBuilder fb(m, "maker", 0, 2);
-  fb.new_obj(0, obj_class());
-  fb.ret(0);
-  insert_locks(m);
-  EXPECT_TRUE(compute_summaries(m).at("maker").returnsNew);
-}
-
-TEST(IlInterproc, CrossCallLocksEliminated) {
-  Module intra, inter;
-  build_interproc(intra);
-  build_interproc(inter);
-  insert_locks(intra);
-  insert_locks(inter);
-
-  const OptStats si = optimize(intra, /*interproc=*/false);
-  const OptStats sx = optimize(inter, /*interproc=*/true);
-  EXPECT_EQ(si.crossCallEliminated, 0);
-  EXPECT_GE(sx.crossCallEliminated, 2)
-      << "main's re-locks of f0 and f1 are covered by reader's summary";
-  EXPECT_EQ(count_ops(*inter.get("main"), Op::kLock), 0);
-  EXPECT_GT(count_ops(*intra.get("main"), Op::kLock), 0)
-      << "without summaries the call must clear the state";
-  ASSERT_TRUE(verify(inter, compute_summaries(inter)).empty())
-      << "V6 must accept exactly what O1+summaries eliminated";
-
-  // The static elimination is visible dynamically: strictly fewer lock
-  // operations, identical result, on both backends.
-  const CompiledModule ci = compile(intra);
-  const CompiledModule cx = compile(inter);
-  for (Backend be : {Backend::kInterp, Backend::kCompiled}) {
-    const Outcome a = run_one(intra, ci, be, "main", 0, 1);
-    const Outcome b = run_one(inter, cx, be, "main", 0, 1);
-    EXPECT_EQ(a.result, b.result);
-    EXPECT_LT(b.delta.lock_ops(), a.delta.lock_ops())
-        << "interprocedural elimination must drop dynamic lock ops";
-  }
+  ASSERT_TRUE(verify(m).empty());
+  const MaySplit ms = compute_summaries(m);
+  EXPECT_FALSE(ms.at("quiet"));
+  EXPECT_TRUE(ms.at("splits"));
+  const OptStats s = eliminate_redundant_locks(m, ms);
+  EXPECT_EQ(s.locksEliminated, 1);
+  EXPECT_EQ(s.crossCallEliminated, 0);
+  EXPECT_EQ(count_ops(*m.get("via_quiet"), Op::kLock), 1);
+  EXPECT_EQ(count_ops(*m.get("via_splits"), Op::kLock), 2)
+      << "a split releases every lock: the re-read must lock again";
+  EXPECT_TRUE(verify(m, ms).empty()) << "V6 must accept exactly what O1 eliminated";
 }
 
 TEST(IlInterproc, OptimizeReachesFixpoint) {
   Module m;
-  build_interproc(m);
+  build_cross_call(m);
   insert_locks(m);
   const OptStats s1 = optimize(m);
   EXPECT_GT(s1.locksEliminated, 0);
@@ -772,11 +780,10 @@ TEST(IlVerifyNegative, UncoveredNoLockReadRejected) {
 }
 
 TEST(IlVerifyNegative, CalleeReadSummaryDoesNotCoverWrite) {
-  // reader read-locks f0 of its parameter; wmain then writes f0 with
-  // its own write lock stripped. The only remaining coverage is the
-  // READ fact imported from the callee summary — a lock-mode mismatch
-  // the verifier must reject (the write's undo logging rides on the
-  // eliminated lock).
+  // reader2 read-locks f0 of its parameter; wmain then writes f0 with
+  // its own write lock stripped. Nothing is imported from callees, so
+  // the write after the call is simply uncovered and the verifier must
+  // reject it (the write's undo logging rides on the eliminated lock).
   Module m;
   {
     FnBuilder fb(m, "reader2", 1, 4);
@@ -822,10 +829,12 @@ void oracle_clean_run(Backend be) {
   });
 
   {
+    // Built before the threads start: inside the section, a replay
+    // would skip the vector's destructor and leak its buffer.
+    const std::vector<int64_t> args{reinterpret_cast<int64_t>(obj), kIters};
     std::vector<SbdThread> ts;
     for (int t = 0; t < kThreads; t++) {
       ts.emplace_back([&] {
-        const std::vector<int64_t> args{reinterpret_cast<int64_t>(obj), kIters};
         if (be == Backend::kCompiled)
           (void)execute(cm, "worker", args);
         else

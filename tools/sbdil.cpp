@@ -7,7 +7,6 @@
 //   sbdil prog.sbdil --optimize --stats   # full pipeline + lock-op counts
 //   sbdil prog.sbdil --backend=compiled   # threaded-code backend
 //   sbdil prog.sbdil --dump               # print the (transformed) IL
-//   sbdil prog.sbdil --dump-summaries     # print per-function LockSummaries
 //   sbdil prog.sbdil --verify-only
 #include <cstdio>
 #include <fstream>
@@ -44,7 +43,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: sbdil <file.sbdil> [--entry NAME] [--args a,b,...]\n"
                  "             [--optimize] [--no-locks] [--backend=interp|compiled]\n"
-                 "             [--dump] [--dump-summaries] [--verify-only] [--stats]\n");
+                 "             [--dump] [--verify-only] [--stats]\n");
     return 2;
   }
 
@@ -75,24 +74,14 @@ int main(int argc, char** argv) {
   if (!opts.get_bool("no-locks", false)) sbd::il::insert_locks(m);
   if (opts.get_bool("optimize", false)) {
     const auto s = sbd::il::optimize(m);
-    std::fprintf(stderr,
-                 "optimize: %d eliminated (%d via call summaries), %d hoisted, "
-                 "%d inlined, %d rounds\n",
-                 s.locksEliminated, s.crossCallEliminated, s.locksHoisted,
-                 s.callsInlined, s.rounds);
+    std::fprintf(stderr, "optimize: %d eliminated, %d hoisted, %d inlined, %d rounds\n",
+                 s.locksEliminated, s.locksHoisted, s.callsInlined, s.rounds);
     // The transformed module must still pass the coverage verifier
     // (V6): every no-lock access covered by a must-held lock. Running
     // it here makes the tool a soundness oracle for the optimizer.
-    const auto sums = sbd::il::compute_summaries(m);
-    const auto vdiags = sbd::il::verify(m, sums);
+    const auto vdiags = sbd::il::verify(m, sbd::il::compute_summaries(m));
     for (const auto& d : vdiags) std::fprintf(stderr, "verify: %s\n", d.c_str());
     if (!vdiags.empty()) return 1;
-  }
-
-  if (opts.get_bool("dump-summaries", false)) {
-    const auto sums = sbd::il::compute_summaries(m);
-    std::fputs(sbd::il::dump_summaries(m, sums).c_str(), stdout);
-    return 0;
   }
 
   if (opts.get_bool("dump", false)) {
