@@ -52,7 +52,7 @@ int TxnIdPool::acquire_for(uint64_t timeoutNanos) {
   auto& lot = ParkingLot::instance();
   WaitNode node;
   node.word = &parkSentinel_;
-  node.idPool = true;
+  node.keyed = true;
   // Order matters against release(): the waiter count rises BEFORE the
   // re-check below, and release() frees the id BEFORE reading the
   // count — so either the releaser sees us (and wakes), or our re-check
@@ -81,7 +81,7 @@ int TxnIdPool::acquire_for(uint64_t timeoutNanos) {
   // timed out, or barged an id a signal was not meant for). If ids are
   // free and someone still waits, hand the wake on.
   if (waiters_.load(std::memory_order_seq_cst) > 0 && available() > 0)
-    lot.unpark_one(&parkSentinel_);
+    lot.unpark_keyed(&parkSentinel_, /*all=*/false);
   return id;
 }
 
@@ -99,7 +99,7 @@ void TxnIdPool::release(int id) {
   const uint64_t prev = shards_[s].fetch_or(bit, std::memory_order_seq_cst);
   SBD_CHECK_MSG((prev & bit) == 0, "double release of txn id");
   if (waiters_.load(std::memory_order_seq_cst) > 0)
-    ParkingLot::instance().unpark_one(&parkSentinel_);
+    ParkingLot::instance().unpark_keyed(&parkSentinel_, /*all=*/false);
 }
 
 int TxnIdPool::available() const {

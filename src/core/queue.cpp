@@ -159,7 +159,7 @@ void ParkingLot::grant_pass_locked(Bucket& b, const LockWord* word, ThreadContex
     WaitNode* front = nullptr;
     size_t total = 0;
     for (WaitNode* n = b.head; n; n = n->next) {
-      if (n->word != word || n->idPool) continue;
+      if (n->word != word || n->keyed) continue;
       if (!front) front = n;
       total++;
     }
@@ -193,7 +193,7 @@ void ParkingLot::grant_pass_locked(Bucket& b, const LockWord* word, ThreadContex
       }
     } else if (!has_writer(w) && !has_upgrader(w)) {
       for (WaitNode* n = front; n; n = n->next) {
-        if (n->word != word || n->idPool) continue;
+        if (n->word != word || n->keyed) continue;
         if (n->wantWrite || n->upgrader) break;
         grant[ng++] = n;
         target = with_member(target, n->mask);
@@ -231,13 +231,13 @@ GrantProbe ParkingLot::try_grant_self(ThreadContext& tc, WaitNode& n) {
     bool isFront = true;
     size_t total = 1;
     for (WaitNode* m = b.head; m && m != &n; m = m->next) {
-      if (m->word != n.word || m->idPool) continue;
+      if (m->word != n.word || m->keyed) continue;
       isFront = false;
       if (m->txnId >= 0) ahead |= 1ULL << m->txnId;
       if (m->wantWrite || m->upgrader) aheadWriter = true;
     }
     for (WaitNode* m = n.next; m; m = m->next)
-      if (m->word == n.word && !m->idPool) total++;
+      if (m->word == n.word && !m->keyed) total++;
     if (!isFront) total++;  // at least one ahead (exact count not needed)
 
     LockWord w = aw->load(std::memory_order_acquire);
@@ -295,9 +295,11 @@ void ParkingLot::park(WaitNode& n, uint64_t timeoutNanos) {
   futex_wait(&n.state, kNodeWaiting, timeoutNanos);
 #else
   std::unique_lock<std::mutex> lk(n.mu);
-  n.cv.wait_for(lk, std::chrono::nanoseconds(timeoutNanos), [&] {
-    return n.state.load(std::memory_order_acquire) != kNodeWaiting;
-  });
+  auto woken = [&] { return n.state.load(std::memory_order_acquire) != kNodeWaiting; };
+  if (timeoutNanos == 0)
+    n.cv.wait(lk, woken);
+  else
+    n.cv.wait_for(lk, std::chrono::nanoseconds(timeoutNanos), woken);
 #endif
 }
 
@@ -311,7 +313,7 @@ void ParkingLot::unpark_word(ThreadContext& tc, const LockWord* word) {
 uint64_t ParkingLot::blockers_locked(Bucket& b, const LockWord* word, int txnId) {
   uint64_t ahead = 0;
   for (WaitNode* m = b.head; m; m = m->next) {
-    if (m->word != word || m->idPool) continue;
+    if (m->word != word || m->keyed) continue;
     if (m->txnId == txnId)
       return (members(as_atomic(word)->load(std::memory_order_acquire)) & ~m->mask) | ahead;
     if (m->txnId >= 0) ahead |= 1ULL << m->txnId;
@@ -375,7 +377,7 @@ void ParkingLot::unpark_txn(const LockWord* word, int txnId) {
   Bucket& b = bucket_for(word);
   std::lock_guard<std::mutex> lk(b.mu);
   for (WaitNode* n = b.head; n; n = n->next) {
-    if (n->word != word || n->idPool || n->txnId != txnId) continue;
+    if (n->word != word || n->keyed || n->txnId != txnId) continue;
     uint32_t st = kNodeWaiting;
     if (n->state.compare_exchange_strong(st, kNodeSignaled, std::memory_order_release))
       wake(*n);
@@ -389,20 +391,22 @@ void ParkingLot::remove(WaitNode& n) {
   unlink_locked(b, n);
 }
 
-bool ParkingLot::unpark_one(const LockWord* key) {
+bool ParkingLot::unpark_keyed(const LockWord* key, bool all) {
   Bucket& b = bucket_for(key);
   std::lock_guard<std::mutex> lk(b.mu);
   maybe_delay(fault::Site::kQueueWakeup);
+  bool woke = false;
   for (WaitNode* n = b.head; n; n = n->next) {
-    if (n->word != key || !n->idPool) continue;
+    if (n->word != key || !n->keyed) continue;
     uint32_t st = kNodeWaiting;
     if (!n->state.compare_exchange_strong(st, kNodeSignaled, std::memory_order_release))
       continue;  // already signaled: do not burn the wake, try the next waiter
     gIdWakes.fetch_add(1, std::memory_order_relaxed);
     wake(*n);
-    return true;
+    woke = true;
+    if (!all) break;
   }
-  return false;
+  return woke;
 }
 
 ParkingLot::Counters ParkingLot::counters() {

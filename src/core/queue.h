@@ -8,6 +8,9 @@
 // lock, dequeues exactly those nodes, and wakes exactly them. Nobody
 // else stirs, which is what replaced the old 63-queue global pool's
 // notify_all thundering herd (and the pool's central alloc/free mutex).
+// Keyed waiters — the txn-id pool's over-subscription path and §3.5
+// condition waits — park in the same buckets under a key address with
+// no lock word behind it, and are only ever signaled, never granted.
 //
 // The lock word carries one has-waiters bit instead of the old 6-bit
 // queue id (core/lockword.h): the word's address, not a pool index, maps
@@ -44,7 +47,8 @@ struct ThreadContext;  // defined in core/transaction.h
 
 // Waiter-node states (the futex word). Transitions:
 //   kWaiting -> kGranted   direct handoff (unpark path CASed the word for us)
-//   kWaiting -> kSignaled  advisory wake (abort request, id released): re-check
+//   kWaiting -> kSignaled  advisory wake (abort request, id released,
+//                          condition signalled): re-check
 //   kSignaled -> kWaiting  the signal was consumed without a grant
 // kGranted is terminal: the node is already unlinked and the lock is ours.
 inline constexpr uint32_t kNodeWaiting = 0;
@@ -52,17 +56,17 @@ inline constexpr uint32_t kNodeSignaled = 1;
 inline constexpr uint32_t kNodeGranted = 2;
 
 // One waiter. Allocated on the waiting thread's stack frame inside
-// slow_acquire / TxnIdPool::acquire_for; never heap-allocated, never
-// copied. While linked into a bucket it is a GC root for boundObj and
+// slow_acquire / TxnIdPool::acquire_for / threads::wait_on; never
+// heap-allocated, never copied. While linked into a bucket it is a GC root for boundObj and
 // the source of the "waiters ahead of me" Dreadlocks digest bits.
 struct WaitNode {
-  const LockWord* word = nullptr;              // bucket key (id pool: sentinel)
+  const LockWord* word = nullptr;              // bucket key (keyed: any address)
   runtime::ManagedObject* boundObj = nullptr;  // pins the instance while we wait
   int txnId = -1;
   LockWord mask = 0;        // txn_mask(txnId)
   bool wantWrite = false;   // true for writers AND upgraders
   bool upgrader = false;    // holds a read lock + the U bit already
-  bool idPool = false;      // txn-id over-subscription waiter (no word handoff)
+  bool keyed = false;       // id-pool or condition waiter (no word handoff)
 
   std::atomic<uint32_t> state{kNodeWaiting};
   WaitNode* prev = nullptr;  // intrusive bucket list, guarded by the bucket lock
@@ -117,7 +121,7 @@ class ParkingLot {
   CancelResult cancel(ThreadContext& tc, WaitNode& n);
 
   // Local spin (bounded), then park until granted/signaled or
-  // `timeoutNanos` elapses. Called WITHOUT the bucket lock; the caller
+  // `timeoutNanos` elapses (0: no timeout). Called WITHOUT the bucket lock; the caller
   // wraps it in a Safepoint::SafeScope. Spurious returns are fine — the
   // caller loops through try_grant_self.
   void park(WaitNode& n, uint64_t timeoutNanos);
@@ -149,20 +153,21 @@ class ParkingLot {
   // blocked, is always found. Call with no bucket lock held.
   uint64_t wait_cycle(const LockWord* word, int txnId);
 
-  // --- id-pool waiters (core/ids.cpp) ---------------------------------------
+  // --- keyed waiters (core/ids.cpp id pool, threads/monitor.cpp) ------------
 
-  // Unlinks an id-pool node (no grant pass, no word bit — the sentinel
-  // word is never a real lock).
+  // Unlinks a keyed node (no grant pass, no word bit — the key is never
+  // dereferenced as a lock).
   void remove(WaitNode& n);
 
-  // Wakes the first still-kWaiting id-pool node parked on `key` (skipping
-  // already-signaled ones, so one release never burns its wake on a
-  // waiter that is already up). Returns true if someone was signaled.
-  bool unpark_one(const LockWord* key);
+  // Signals keyed nodes parked on `key`: every still-kWaiting one if
+  // `all`, else the first (skipping already-signaled ones, so one wake
+  // is never burned on a waiter that is already up). Returns true if
+  // someone was signaled. No credit is kept when nobody waits.
+  bool unpark_keyed(const LockWord* key, bool all);
 
   // --- GC / watchdog --------------------------------------------------------
 
-  // Enumerates the boundObj of every parked lock waiter (stop-the-world
+  // Enumerates the boundObj of every parked waiter (stop-the-world
   // root scan). Mutators never hold a bucket lock across a safepoint, so
   // taking every bucket lock here cannot deadlock against a stopped
   // thread.
@@ -185,7 +190,7 @@ class ParkingLot {
     WaitNode* me = nullptr;
     size_t depth = 0;
     for (WaitNode* n = b.head; n; n = n->next) {
-      if (n->word != word || n->idPool) continue;
+      if (n->word != word || n->keyed) continue;
       depth++;
       if (n->txnId == txnId) me = n;
     }
@@ -201,11 +206,11 @@ class ParkingLot {
     uint64_t spunGranted = 0;  // grants/signals observed during the local spin
     uint64_t futexWakes = 0;   // wake syscalls issued (handoffs + signals)
     uint64_t handoffs = 0;     // nodes granted by direct handoff (unpark side)
-    uint64_t idWakes = 0;      // unpark_one signals (id-pool wake-one discipline)
+    uint64_t idWakes = 0;      // unpark_keyed signals (id pool and condition waits)
   };
   static Counters counters();
 
-  // Live waiter-node count across all buckets (lock + id-pool waiters)
+  // Live waiter-node count across all buckets (lock + keyed waiters)
   // — the instantaneous parked-waiter depth the serving metrics report.
   // Takes each bucket lock briefly; export-path only, never hot.
   static size_t approx_waiters();

@@ -74,22 +74,30 @@ ThreadContext::ThreadContext() { TxnManager::instance().register_thread(this); }
 ThreadContext::~ThreadContext() { TxnManager::instance().unregister_thread(this); }
 
 namespace {
+// The pointer is a trivially destructible thread_local of its own, so it
+// still reads null after the holder's destructor freed the context:
+// exit hooks (lockplan::stop_controller) ask for it after the main
+// thread's thread_locals are gone. A null store into the dying holder
+// itself may be dropped as a dead store.
+thread_local ThreadContext* tTc = nullptr;
 struct TlsHolder {
-  ThreadContext* tc = nullptr;
   ~TlsHolder() {
-    delete tc;
-    tc = nullptr;
+    delete tTc;
+    tTc = nullptr;
   }
 };
 thread_local TlsHolder tTls;
 }  // namespace
 
 ThreadContext& tls_context() {
-  if (!tTls.tc) tTls.tc = new ThreadContext();
-  return *tTls.tc;
+  if (!tTc) {
+    tTc = new ThreadContext();
+    static_cast<void>(&tTls);  // registers the holder's destructor
+  }
+  return *tTc;
 }
 
-ThreadContext* tls_context_if_present() { return tTls.tc; }
+ThreadContext* tls_context_if_present() { return tTc; }
 
 // ---------------------------------------------------------------------------
 // TxnManager

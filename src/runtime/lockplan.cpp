@@ -18,7 +18,6 @@
 #include "core/stats.h"
 #include "core/transaction.h"
 #include "runtime/heap.h"
-#include "runtime/lockpool.h"
 #include "runtime/object.h"
 
 namespace sbd::runtime::lockplan {
@@ -441,7 +440,6 @@ void start_controller() {
   (void)core::tls_context();
   (void)Heap::instance();
   (void)core::gauges();
-  (void)LockPool::instance();
   gCtlStop.store(false, std::memory_order_release);
   gCtlThread = std::thread(controller_main);
   gCtlRunning = true;

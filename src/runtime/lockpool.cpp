@@ -6,8 +6,11 @@
 namespace sbd::runtime {
 
 LockPool& LockPool::instance() {
-  static LockPool pool;
-  return pool;
+  // Intentionally leaked, like Heap::instance(): pooled arrays stay
+  // reachable through the free lists until exit, and no exit hook can
+  // outlive the pool.
+  static LockPool* pool = new LockPool();
+  return *pool;
 }
 
 int LockPool::class_for(uint32_t nWords) {

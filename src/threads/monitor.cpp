@@ -1,66 +1,39 @@
 #include "threads/monitor.h"
 
-#include <condition_variable>
-#include <mutex>
-#include <unordered_map>
-
 #include "common/check.h"
+#include "core/queue.h"
+#include "core/resource.h"
 #include "core/transaction.h"
 
 namespace sbd::threads {
 
 namespace {
 
-struct WaitSet {
-  std::mutex mu;
-  std::condition_variable cv;
-  uint64_t allTicket = 0;  // bumped by every delivered notify_all
-  uint64_t singles = 0;    // pending notify_one credits
-  int waiters = 0;
+// Condition waiters park in the lot keyed by the object's address.
+const core::LockWord* key_of(runtime::ManagedObject* obj) {
+  return reinterpret_cast<const core::LockWord*>(obj);
+}
+
+// Unlinks the published node if the split's own commit aborts (versioned
+// read validation can fail there): the abort restores a stack without
+// the node's frame. Thread-local because transactional resources live
+// off the SBD stack (docs/SEMANTICS.md, the C++-specific contract).
+struct UnlinkOnAbort final : core::TxResource {
+  core::WaitNode* node = nullptr;
+  void on_commit() override {}
+  void on_abort() override { core::ParkingLot::instance().remove(*node); }
 };
+thread_local UnlinkOnAbort tUnlink;
 
-std::mutex gTableMu;
-// WaitSets are leaked deliberately: an entry may be observed by a waker
-// after its last waiter left, and the table is small (one per object
-// ever waited on concurrently). Entries are pruned when empty.
-std::unordered_map<const void*, WaitSet*> gTable;
-
-WaitSet* get_or_create(const void* key) {
-  std::lock_guard<std::mutex> lk(gTableMu);
-  auto it = gTable.find(key);
-  if (it != gTable.end()) return it->second;
-  auto* ws = new WaitSet();
-  gTable.emplace(key, ws);
-  return ws;
-}
-
-WaitSet* find(const void* key) {
-  std::lock_guard<std::mutex> lk(gTableMu);
-  auto it = gTable.find(key);
-  return it == gTable.end() ? nullptr : it->second;
-}
-
-void prune_if_idle(const void* key, WaitSet* ws) {
-  std::scoped_lock lk(gTableMu, ws->mu);
-  if (ws->waiters == 0) {
-    auto it = gTable.find(key);
-    if (it != gTable.end() && it->second == ws) gTable.erase(it);
-    // ws itself leaks (tiny) — a waker may still hold the pointer.
-  }
-}
-
-void deliver(WaitSet* ws, bool all) {
-  {
-    std::lock_guard<std::mutex> lk(ws->mu);
-    if (all)
-      ws->allTicket++;
-    else
-      ws->singles++;
-  }
-  if (all)
-    ws->cv.notify_all();
+void signal(runtime::ManagedObject* obj, bool all) {
+  auto wake = [obj, all] { core::ParkingLot::instance().unpark_keyed(key_of(obj), all); };
+  auto* tc = core::tls_context_if_present();
+  // Deferred signal (§3.5): delivered only if this section commits,
+  // after its locks are released.
+  if (tc && tc->txn.active())
+    tc->txn.defer(wake);
   else
-    ws->cv.notify_one();
+    wake();
 }
 
 }  // namespace
@@ -69,54 +42,27 @@ void wait_on(runtime::ManagedObject* obj) {
   auto& tc = core::tls_context();
   SBD_CHECK_MSG(tc.txn.active(), "wait_on outside an atomic section");
   SBD_CHECK_MSG(tc.noSplitDepth == 0, "wait_on inside a noSplit block");
-  WaitSet* ws = get_or_create(obj);
-
-  // Take the ticket *before* the split commits: we still hold locks on
-  // the condition here, so no signal for the current condition state
-  // can have been delivered yet.
-  uint64_t allTicket0;
-  {
-    std::lock_guard<std::mutex> lk(ws->mu);
-    allTicket0 = ws->allTicket;
-    ws->waiters++;
-  }
-
+  auto& lot = core::ParkingLot::instance();
+  // Publish BEFORE the split commits, while the section still guards
+  // the condition (monitor.h): a signaller for the next condition state
+  // runs after this commit and finds the node.
+  core::WaitNode node;
+  node.word = key_of(obj);
+  node.boundObj = obj;  // GC root while we wait
+  node.keyed = true;
+  lot.publish(node);
+  tUnlink.node = &node;
+  tc.txn.add_resource(&tUnlink);
   auto blocked = [&] {
-    auto& tc2 = core::tls_context();
-    tc2.waitingObj = obj;  // GC root while blocked
     {
-      core::Safepoint::SafeScope safe(tc2);
-      std::unique_lock<std::mutex> lk(ws->mu);
-      ws->cv.wait(lk, [&] {
-        if (ws->allTicket != allTicket0) return true;  // broadcast
-        if (ws->singles > 0) {  // notify_one: consume one credit
-          ws->singles--;
-          return true;
-        }
-        return false;
-      });
-      ws->waiters--;
+      core::Safepoint::SafeScope safe(tc);
+      while (node.state.load(std::memory_order_acquire) == core::kNodeWaiting)
+        lot.park(node, 0);
     }
-    tc2.waitingObj = nullptr;
+    lot.remove(node);
   };
   core::split_section_releasing_id(tc, blocked);
-  prune_if_idle(obj, ws);
 }
-
-namespace {
-void signal(runtime::ManagedObject* obj, bool all) {
-  auto* tc = core::tls_context_if_present();
-  if (tc && tc->txn.active()) {
-    // Deferred signal (§3.5): delivered only if this section commits,
-    // after its locks are released.
-    tc->txn.defer([obj, all] {
-      if (WaitSet* ws = find(obj)) deliver(ws, all);
-    });
-  } else {
-    if (WaitSet* ws = find(obj)) deliver(ws, all);
-  }
-}
-}  // namespace
 
 void notify_all(runtime::ManagedObject* obj) { signal(obj, true); }
 void notify_one(runtime::ManagedObject* obj) { signal(obj, false); }

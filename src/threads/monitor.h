@@ -9,11 +9,15 @@
 //                      an aborted section never signals and the
 //                      condition's locks are already released when
 //                      waiters wake (no thundering-herd reconvoy).
+//   notify_one(obj)  — as notify_all, but wakes one waiter.
 //
-// The lost-wakeup protocol relies on the SBD locking discipline: the
-// waiter still holds a read lock on the condition when it takes its
-// ticket, so a signaller — which needs the write lock — can only commit
-// (and bump the ticket) after the waiter's split released it.
+// Waiters park in core::ParkingLot as keyed nodes, keyed by the object's
+// address; a signal with nobody waiting is dropped. The lost-wakeup
+// protocol relies on the SBD locking discipline: the waiter publishes
+// its node BEFORE the split commits, while it still holds a read lock on
+// the condition (under versioned maps, while commit-time validation
+// still guards its read), so a signaller — which needs the write lock —
+// can only commit, and signal, after the node is visible.
 #pragma once
 
 #include "core/fwd.h"

@@ -230,26 +230,31 @@ TEST(ParkingLot, UnparkTxnSignalsExactlyTheNamedWaiter) {
   EXPECT_EQ(lot.cancel(tc, b), CancelResult::kRemoved);
 }
 
-TEST(ParkingLot, IdPoolUnparkOneNeverBurnsAWakeOnASignaledNode) {
+TEST(ParkingLot, KeyedUnparkNeverBurnsAWakeOnASignaledNode) {
   auto& lot = ParkingLot::instance();
   static LockWord sentinel = 0;
   WaitNode n1, n2, n3;
   for (WaitNode* n : {&n1, &n2, &n3}) {
     n->word = &sentinel;
-    n->idPool = true;
+    n->keyed = true;
     lot.publish(*n);
   }
   const uint64_t wakes0 = ParkingLot::counters().idWakes;
-  EXPECT_TRUE(lot.unpark_one(&sentinel));
+  EXPECT_TRUE(lot.unpark_keyed(&sentinel, /*all=*/false));
   EXPECT_EQ(n1.state.load(), kNodeSignaled);
   // The second wake must SKIP the already-signaled head — wake-one means
   // one wake, one distinct waiter (the no-thundering-herd discipline).
-  EXPECT_TRUE(lot.unpark_one(&sentinel));
+  EXPECT_TRUE(lot.unpark_keyed(&sentinel, /*all=*/false));
   EXPECT_EQ(n2.state.load(), kNodeSignaled);
   EXPECT_EQ(n3.state.load(), kNodeWaiting);
   EXPECT_EQ(ParkingLot::counters().idWakes, wakes0 + 2);
+  // Wake-all signals every node still waiting, and only those.
+  EXPECT_TRUE(lot.unpark_keyed(&sentinel, /*all=*/true));
+  EXPECT_EQ(n3.state.load(), kNodeSignaled);
+  EXPECT_EQ(ParkingLot::counters().idWakes, wakes0 + 3);
+  EXPECT_FALSE(lot.unpark_keyed(&sentinel, /*all=*/true)) << "everyone is already up";
   for (WaitNode* n : {&n1, &n2, &n3}) lot.remove(*n);
-  EXPECT_FALSE(lot.unpark_one(&sentinel)) << "empty key: no one to wake";
+  EXPECT_FALSE(lot.unpark_keyed(&sentinel, /*all=*/false)) << "empty key: no one to wake";
 }
 
 }  // namespace

@@ -14,8 +14,10 @@ TEST(ThreadOps, AbortedStarterNeverLaunchesThenRetryDoes) {
   run_sbd([&] {
     static bool aborted;
     aborted = false;
-    split();
+    // Constructed before the checkpoint: an object created after it may
+    // leak on abort (docs/SEMANTICS.md, the C++-specific contract).
     SbdThread child([&] { launches++; });
+    split();
     child.start();  // deferred to this section's commit
     if (!aborted) {
       aborted = true;

@@ -105,6 +105,7 @@ TEST(Monitor, NotifyOneWakesAtLeastOne) {
         Box b = cond.get();
         while (b.v() < 1) wait_on(b.raw());
         done++;
+        notify_one(b.raw());  // pass the wake on to the other waiter
       });
     }
     for (auto& w : waiters) w.start();
@@ -112,7 +113,7 @@ TEST(Monitor, NotifyOneWakesAtLeastOne) {
       std::this_thread::sleep_for(std::chrono::milliseconds(30));
       Box b = cond.get();
       b.set_v(2);  // both waiters' conditions become true
-      notify_all(b.raw());
+      notify_one(b.raw());
       split();
     });
     setter.start();
@@ -120,6 +121,38 @@ TEST(Monitor, NotifyOneWakesAtLeastOne) {
     setter.join();
   }
   EXPECT_EQ(done.load(), 2);
+}
+
+// Turn passing: each thread waits for its turn, takes it, and signals
+// the next. Every turn needs one wake to reach a waiter that published
+// just before its split, so a lost wakeup hangs the ring (the ctest
+// TIMEOUT turns that into a failure).
+TEST(MonitorStress, TurnPassingNeverLosesAWakeup) {
+  constexpr int kThreads = 4;
+  constexpr int kTurns = 2000;
+  runtime::GlobalRoot<Box> turn;
+  run_sbd([&] {
+    Box b = Box::alloc();
+    b.init_v(0);
+    turn.set(b);
+  });
+  {
+    std::vector<SbdThread> ts;
+    for (int i = 0; i < kThreads; i++) {
+      ts.emplace_back([&, i] {
+        Box b = turn.get();
+        for (int r = 0; r < kTurns; r++) {
+          while (b.v() % kThreads != i) wait_on(b.raw());
+          b.set_v(b.v() + 1);
+          notify_all(b.raw());
+          split();
+        }
+      });
+    }
+    for (auto& t : ts) t.start();
+    for (auto& t : ts) t.join();
+  }
+  run_sbd([&] { EXPECT_EQ(turn.get().v(), kThreads * kTurns); });
 }
 
 TEST(Barrier, AllThreadsMeet) {
